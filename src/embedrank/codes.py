@@ -1,11 +1,15 @@
 """Linear codes over GF(p) and their weight enumeration.
 
 A LinearCode stores a reduced-row-echelon basis.  Codeword enumeration over
-GF(2) walks the reflected-binary Gray sequence over the basis rows, so lists
-of codewords come out in a fixed order and each step is one XOR.  For p > 2 a
-mixed-radix odometer plays the same role.  Full enumeration is capped at
-2^28 codewords by default; the cap can be overridden per call or through the
-EMBEDRANK_CAP environment variable.
+GF(2) follows the reflected-binary Gray sequence over the basis rows, so lists
+of codewords come out in a fixed order.  One numpy kernel walks that sequence
+in chunks of 2^12 words: the span of the low 12 basis rows, held as limb-major
+uint64 words, XORed with one offset per chunk, with weights from
+`bitwise_count`.  Weight distributions, words of one weight, minimum weights
+and the GF(2) enumeration all read its chunks.  For p > 2 a mixed-radix
+odometer plays the same role.  Full enumeration is capped at 2^28 codewords by
+default; the cap can be overridden per call or through the EMBEDRANK_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -30,11 +35,28 @@ from .linalg import MatGFp, mat_rref, support_from_bitmask
 DEFAULT_CAP = 1 << 28
 
 
+# A chunk of the GF(2) kernel holds 2^_CHUNK_BITS words.  Larger chunks save
+# numpy call overhead but keep bigger buffers resident: chunks of 2^16 words
+# raised peak memory by 7 MB on a [336,24] code.
+_CHUNK_BITS = 12
+
+
 def _cap(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("EMBEDRANK_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise WrongParameters(f"EMBEDRANK_CAP must be an integer, got {env!r}") from None
+
+
+def _check_cap(code: LinearCode, cap: int | None) -> None:
+    limit = _cap(cap)
+    if code.size > limit:
+        raise CapExceeded(f"{code.size} codewords exceed the cap {limit}")
 
 
 @dataclass
@@ -87,21 +109,128 @@ def code_from_bitrows(rows, length: int) -> LinearCode:
     return code_from_rows(MatGFp.from_bitrows(list(rows), length))
 
 
+# ---------------------------------------------------------------------------
+# GF(2) span kernel
+#
+# Word i of the walk is the XOR of the basis rows j at the set bits of
+# gray(i) = i ^ (i >> 1).  Split i = h * 2^k + l over k low rows: the low k bits
+# of gray(i) are gray(l) with bit k - 1 flipped when h is odd, and the high
+# bits are gray(h).  So chunk h is the Gray-ordered span table of the low rows
+# XORed with one offset, and consecutive offsets differ by two basis rows: the
+# walk XORs that difference into one buffer in place.
+
+
+def _limbs(words, length: int) -> np.ndarray:
+    """GF(2) words of the given length as limb-major uint64 columns.
+
+    Row l holds bits 64l .. 64l + 63 of every word; there is at least one row.
+    """
+    nlimbs = max(1, -(-length // 64))
+    raw = b"".join(w.to_bytes(8 * nlimbs, "little") for w in words)
+    cols = np.frombuffer(raw, dtype="<u8").reshape(len(words), nlimbs).T
+    return np.ascontiguousarray(cols, dtype=np.uint64)
+
+
+def _words(cols: np.ndarray) -> list[int]:
+    """The inverse of _limbs: limb-major uint64 columns as Python ints."""
+    size = 8 * cols.shape[0]
+    raw = np.ascontiguousarray(cols.T, dtype="<u8").tobytes()
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _span_table(rows: np.ndarray) -> np.ndarray:
+    """The span of the limb-major columns `rows`, in Gray-walk order.
+
+    Built by reflection: the second half of the first 2^(b+1) entries is the
+    first half reversed, XORed with row b.
+    """
+    nlimbs, k = rows.shape
+    table = np.zeros((nlimbs, 1 << k), dtype=np.uint64)
+    for b in range(k):
+        half = 1 << b
+        np.bitwise_xor(table[:, half - 1 :: -1], rows[:, b : b + 1], out=table[:, half : 2 * half])
+    return table
+
+
+def _nchunks(code: LinearCode) -> int:
+    return 1 << max(0, code.dim - _CHUNK_BITS)
+
+
+def _walk(basis: list[int], length: int, start: int, stop: int):
+    """Yield (words, weights) for chunks start .. stop - 1 of the Gray walk.
+
+    `words` is a limb-major uint64 array with one column per codeword, in walk
+    order, and `weights` their Hamming weights.  Both buffers are overwritten
+    by the next chunk.
+    """
+    rows = _limbs(basis, length)
+    k = min(_CHUNK_BITS, len(basis))
+    words = _span_table(rows[:, :k])
+    steps = rows[:, k:] ^ rows[:, k - 1 : k]
+    g = start ^ (start >> 1)
+    for j in range(len(basis) - k):
+        if (g >> j) & 1:
+            words ^= rows[:, k + j : k + j + 1]
+    if start & 1:
+        words ^= rows[:, k - 1 : k]
+    wdtype = np.uint16 if length < 1 << 16 else np.uint32
+    counts = np.empty(words.shape, dtype=np.uint8)
+    weights = np.empty(words.shape[1], dtype=wdtype)
+    for h in range(start, stop):
+        if h > start:
+            j = (h & -h).bit_length() - 1
+            np.bitwise_xor(words, steps[:, j : j + 1], out=words)
+        np.bitwise_count(words, out=counts)
+        np.add.reduce(counts, axis=0, dtype=wdtype, out=weights)
+        yield words, weights
+
+
+def _histogram(basis: list[int], length: int, start: int, stop: int) -> np.ndarray:
+    hist = np.zeros(length + 1, dtype=np.int64)
+    for _, weights in _walk(basis, length, start, stop):
+        hist += np.bincount(weights, minlength=length + 1)
+    return hist
+
+
+def _weight_words(basis: list[int], length: int, start: int, stop: int, w: int) -> list[int]:
+    out: list[int] = []
+    for words, weights in _walk(basis, length, start, stop):
+        hits = np.flatnonzero(weights == w)
+        if hits.size:
+            out += _words(words[:, hits])
+    return out
+
+
+def _gf2_parts(fn, code: LinearCode, workers: int, *args) -> list:
+    """fn(basis, length, start, stop, *args) over the whole walk.
+
+    With workers > 1 and more than one chunk, the chunks are split into equal
+    consecutive ranges, one per forked worker, and the parts come back in walk
+    order.
+    """
+    total = _nchunks(code)
+    if workers <= 1 or total == 1:
+        return [fn(code.basis_bits, code.length, 0, total, *args)]
+    bounds = [total * i // workers for i in range(workers + 1)]
+    jobs = [
+        (code.basis_bits, code.length, bounds[i], bounds[i + 1], *args)
+        for i in range(workers)
+        if bounds[i] < bounds[i + 1]
+    ]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.starmap(fn, jobs)
+
+
 def iter_codewords(code: LinearCode, cap: int | None = None):
     """Yield every codeword once, zero first, in the fixed enumeration order.
 
     GF(2) words are ints (bit j = coordinate j); other fields yield numpy
     vectors that must not be mutated by the consumer.
     """
-    if code.size > _cap(cap):
-        raise CapExceeded(f"{code.size} codewords exceed the cap {_cap(cap)}")
+    _check_cap(code, cap)
     if code.p == 2:
-        basis = code.basis_bits
-        w = 0
-        yield 0
-        for i in range(1, 1 << len(basis)):
-            w ^= basis[(i & -i).bit_length() - 1]
-            yield w
+        for words, _ in _walk(code.basis_bits, code.length, 0, _nchunks(code)):
+            yield from _words(words)
     else:
         k = code.dim
         vec = np.zeros(code.length, dtype=np.int64)
@@ -146,57 +275,17 @@ class WeightDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _gray_word_at(basis: list[int], start: int) -> int:
-    g = start ^ (start >> 1)
-    w = 0
-    i = 0
-    while g:
-        if g & 1:
-            w ^= basis[i]
-        g >>= 1
-        i += 1
-    return w
-
-
-def _wdist_range(basis: list[int], start: int, stop: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    w = _gray_word_at(basis, start)
-    counts[w.bit_count()] = 1
-    for i in range(start + 1, stop):
-        w ^= basis[(i & -i).bit_length() - 1]
-        c = w.bit_count()
-        counts[c] = counts.get(c, 0) + 1
-    return counts
-
-
-def _wdist_worker(args):
-    basis, start, stop = args
-    return _wdist_range(basis, start, stop)
-
-
 def weight_distribution(code: LinearCode, cap: int | None = None, workers: int = 1) -> WeightDistribution:
     """Exact weight distribution by full enumeration.
 
-    With workers > 1 the GF(2) Gray walk is split into equal index ranges and
-    the per-range histograms are merged; the result is identical to the
+    With workers > 1 the GF(2) walk is split into equal ranges of chunks and
+    the per-range histograms are added; the result is identical to the
     single-worker walk.
     """
-    if code.size > _cap(cap):
-        raise CapExceeded(f"{code.size} codewords exceed the cap {_cap(cap)}")
-    if code.p == 2 and workers > 1 and code.dim > 12:
-        total = 1 << code.dim
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [(code.basis_bits, bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_wdist_worker, jobs)
-        counts: dict[int, int] = {}
-        for part in parts:
-            for w, c in part.items():
-                counts[w] = counts.get(w, 0) + c
-    elif code.p == 2:
-        counts = _wdist_range(code.basis_bits, 0, 1 << code.dim)
+    _check_cap(code, cap)
+    if code.p == 2:
+        hist = sum(_gf2_parts(_histogram, code, workers))
+        counts = {w: int(c) for w, c in enumerate(hist) if c}
     else:
         counts = {}
         for vec in iter_codewords(code, cap=cap):
@@ -209,74 +298,20 @@ def min_weight(code: LinearCode, cap: int | None = None) -> int:
     """Smallest nonzero codeword weight (full enumeration)."""
     if code.dim == 0:
         raise WrongParameters("the zero code has no nonzero codeword")
-    best = code.length + 1
-    if code.p == 2:
-        first = True
-        for w in iter_codewords(code, cap=cap):
-            if first:
-                first = False
-                continue
-            c = w.bit_count()
-            if c < best:
-                best = c
-    else:
-        first = True
-        for vec in iter_codewords(code, cap=cap):
-            if first:
-                first = False
-                continue
-            c = int(np.count_nonzero(vec))
-            if c < best:
-                best = c
-    return best
-
-
-def _wwords_range(basis: list[int], start: int, stop: int, w: int) -> list[int]:
-    out = []
-    word = _gray_word_at(basis, start)
-    if word.bit_count() == w:
-        out.append(word)
-    for i in range(start + 1, stop):
-        word ^= basis[(i & -i).bit_length() - 1]
-        if word.bit_count() == w:
-            out.append(word)
-    return out
-
-
-def _wwords_worker(args):
-    return _wwords_range(*args)
+    return weight_distribution(code, cap=cap).min_nonzero()
 
 
 def codewords_of_weight(code: LinearCode, w: int, cap: int | None = None, workers: int = 1) -> list:
     """All codewords of the given weight, in enumeration order.
 
-    Workers split the Gray walk into index ranges; concatenating the ranges in
-    order reproduces the single-worker list exactly.
+    Workers split the GF(2) walk into ranges of chunks; concatenating the
+    ranges in order reproduces the single-worker list exactly.
     """
-    out = []
-    if code.p == 2 and workers > 1 and code.dim > 12:
-        if code.size > _cap(cap):
-            raise CapExceeded(f"{code.size} codewords exceed the cap {_cap(cap)}")
-        total = 1 << code.dim
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [
-            (code.basis_bits, bounds[i], bounds[i + 1], w)
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for part in pool.map(_wwords_worker, jobs):
-                out.extend(part)
-    elif code.p == 2:
-        for word in iter_codewords(code, cap=cap):
-            if word.bit_count() == w:
-                out.append(word)
+    _check_cap(code, cap)
+    if code.p == 2:
+        out = [word for part in _gf2_parts(_weight_words, code, workers, w) for word in part]
     else:
-        for vec in iter_codewords(code, cap=cap):
-            if int(np.count_nonzero(vec)) == w:
-                out.append(vec.copy())
+        out = [vec.copy() for vec in iter_codewords(code, cap=cap) if int(np.count_nonzero(vec)) == w]
     return out[:1] if w == 0 else out
 
 

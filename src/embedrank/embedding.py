@@ -21,11 +21,12 @@ import numpy as np
 
 from .codes import (
     LinearCode,
+    _limbs,
+    _span_table,
     code_from_bitrows,
     code_from_cols,
     code_from_rows,
     codewords_of_weight,
-    iter_codewords,
     min_weight,
 )
 from .designs import (
@@ -110,22 +111,10 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
         seen |= m
         masks.append(m)
     out = []
-    if code.p == 2:
-        for word in iter_codewords(code, cap=cap):
-            if word.bit_count() != w:
-                continue
-            if all((word & m) == 0 or (word & m) == m for m in masks):
-                out.append(word)
-    else:
-        for vec in iter_codewords(code, cap=cap):
-            support = 0
-            for j, c in enumerate(vec):
-                if c:
-                    support |= 1 << j
-            if support.bit_count() != w:
-                continue
-            if all((support & m) == 0 or (support & m) == m for m in masks):
-                out.append(vec)
+    for word in codewords_of_weight(code, w, cap=cap):
+        support = word if code.p == 2 else sum(1 << int(j) for j in np.flatnonzero(word))
+        if all((support & m) == 0 or (support & m) == m for m in masks):
+            out.append(word)
     return out
 
 
@@ -265,21 +254,6 @@ def _search_context(design: IncidenceStructure, block_idx: int, resolution: Reso
     return gb, dpp, res, ncols, rows, basis, class_masks, fixed
 
 
-def _span_arrays(basis: list[int]):
-    """The full GF(2) span as low/high 64-bit halves, in Gray-walk order."""
-    n = 1 << len(basis)
-    lo = np.empty(n, dtype=np.uint64)
-    hi = np.empty(n, dtype=np.uint64)
-    word = 0
-    lo[0] = 0
-    hi[0] = 0
-    for i in range(1, n):
-        word ^= basis[(i & -i).bit_length() - 1]
-        lo[i] = word & 0xFFFFFFFFFFFFFFFF
-        hi[i] = word >> 64
-    return lo, hi
-
-
 def _complete(cands: list[int], rows48: list[int], dpp_b: int) -> list[tuple[int, ...]]:
     """All 16-subsets forming valid new point rows, in candidate order."""
     need = 16
@@ -381,7 +355,8 @@ def embedding_search(
     gb, dpp, res, ncols, rows48, basis, class_masks, fixed = _search_context(
         design, block_idx, resolution
     )
-    lo, hi = _span_arrays(basis)
+    # The full span in Gray-walk order; ncols is 84 here, two 64-bit limbs.
+    lo, hi = _span_table(_limbs(basis, ncols))
     rest = [c for c in range(len(class_masks)) if c != fixed]
     combos = list(itertools.combinations(rest, 4))
     base_args = (combos, fixed, class_masks, lo, hi, rows48, dpp.b, ncols)

@@ -11,7 +11,6 @@ import time
 from math import comb
 
 import numpy as np
-import pytest
 
 from embedrank import expected
 from embedrank.codes import (
@@ -269,7 +268,6 @@ def test_c10_theory_validation(ag34, pg34):
     _report(10, "thm1 uncontradicted, HN drop 1, SDP ranks 6/5, Rudolph grid", t0)
 
 
-@pytest.mark.slow
 def test_c11_ag44_extended():
     t0 = time.time()
     ag44, _ = ag_design(4, 4, 3)

@@ -57,6 +57,14 @@ def test_computation_error_json(k4_file, capsys):
     assert err["error"] == "WrongParameters"
 
 
+def test_bad_cap_env_exits_one(fano_file, monkeypatch, capsys):
+    monkeypatch.setenv("EMBEDRANK_CAP", "abc")
+    assert run(["wdist", fano_file, "--rows"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "WrongParameters"
+    assert "EMBEDRANK_CAP" in err["message"]
+
+
 def test_gen_rank_pipeline(tmp_path, capsys):
     ag = tmp_path / "ag.des"
     pg = tmp_path / "pg.des"

@@ -1,12 +1,14 @@
 """Linear codes over GF(p): enumeration, weights, bounds, classical families."""
 
 import random
+from collections import Counter
 from itertools import product
 from math import inf
 
 import numpy as np
 import pytest
 
+import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
     bent_quadratic,
@@ -29,7 +31,8 @@ from embedrank.codes import (
     walsh_spectrum,
     weight_distribution,
 )
-from embedrank.designs import residual, verify_tdesign
+from embedrank.designs import Resolution, residual, verify_tdesign
+from embedrank.embedding import parallel_union_codewords
 from embedrank.errors import (
     BadDimension,
     CapExceeded,
@@ -228,7 +231,11 @@ def test_johnson_restricted_values():
         johnson_restricted(5, 0, 3)
 
 
-def test_caps_raise_too_large():
+def test_caps_raise_too_large(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked past the cap")
+
+    monkeypatch.setattr(codes_module, "_walk", no_walk)
     code = rm_code(2, 4)  # 2^11 codewords
     with pytest.raises(CapExceeded):
         list(iter_codewords(code, cap=100))
@@ -238,6 +245,9 @@ def test_caps_raise_too_large():
         codewords_of_weight(code, 4, cap=100)
     with pytest.raises(TooLarge):
         min_weight(code, cap=100)
+    res = Resolution(tuple(tuple(range(j, j + 4)) for j in range(0, 16, 4)))
+    with pytest.raises(CapExceeded):
+        parallel_union_codewords(code, res, 8, cap=100)
     assert DEFAULT_CAP >= 1 << 20
 
 
@@ -256,6 +266,45 @@ def test_codewords_of_weight_workers_agree():
     wd1 = weight_distribution(code)
     wd3 = weight_distribution(code, workers=3)
     assert wd1.counts == wd3.counts
+
+
+def _gray_walk(rows):
+    """Reference GF(2) enumeration: one XOR per step of the Gray sequence."""
+    word = 0
+    yield word
+    for i in range(1, 1 << len(rows)):
+        word ^= rows[(i & -i).bit_length() - 1]
+        yield word
+
+
+def _random_code(rng, length, dim):
+    while True:
+        code = code_from_bitrows([rng.getrandbits(length) for _ in range(dim)], length)
+        if code.dim == dim:
+            return code
+
+
+def test_span_kernel_matches_gray_walk():
+    # lengths around the 64-bit limb boundaries, dims around the 2^12-word chunk
+    rng = random.Random(107)
+    for length in (1, 63, 64, 65, 129, 336):
+        for dim in (0, 1, 12, 13, 17):
+            if dim > length:
+                continue
+            code = _random_code(rng, length, dim)
+            ref = list(_gray_walk(code.basis_bits))
+            hist = Counter(w.bit_count() for w in ref)
+            assert weight_distribution(code).counts == dict(sorted(hist.items()))
+            assert list(iter_codewords(code)) == ref
+            for w in (0, min(hist.keys() - {0}, default=1), max(hist, key=hist.get), length):
+                assert codewords_of_weight(code, w) == [x for x in ref if x.bit_count() == w]
+            if dim:
+                assert min_weight(code) == min(hist.keys() - {0})
+    for length in (65, 336):
+        code = _random_code(rng, length, 17)
+        w = code.length // 2
+        assert codewords_of_weight(code, w, workers=3) == codewords_of_weight(code, w)
+        assert weight_distribution(code, workers=3).counts == weight_distribution(code).counts
 
 
 def test_hex_round_trip():
