@@ -13,10 +13,13 @@ block with space-separated 0-based point indices.  The JSON form is
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     BadIndex,
@@ -165,6 +168,7 @@ def make_resolution(design: IncidenceStructure, classes) -> Resolution:
     return Resolution(classes=ordered)
 
 
+@lru_cache(maxsize=128)
 def verify_tdesign(design: IncidenceStructure, t: int):
     """Return DesignParams if `design` is a t-design (uniform k), else None."""
     if t < 0:
@@ -283,6 +287,7 @@ def is_simple(design: IncidenceStructure) -> bool:
     return len(set(pmasks)) == design.v
 
 
+@lru_cache(maxsize=128)
 def is_affine_resolvable(design: IncidenceStructure):
     """Return (q, mu, Resolution) if the design is affine resolvable, else None.
 
@@ -399,12 +404,35 @@ def resolutions(design: IncidenceStructure, limit: int | None = None) -> list[Re
     return out
 
 
-def _integer_log(v: int, q: int) -> int | None:
+class AffineFamily(NamedTuple):
+    """Facts of an affine resolvable 2-(q^n, q^(n-1), (q^(n-1)-1)/(q-1)) design."""
+
+    q: int
+    n: int
+    mu: int
+    params: DesignParams
+    resolution: Resolution
+
+
+@lru_cache(maxsize=128)
+def affine_family(design: IncidenceStructure) -> AffineFamily:
+    """The design's (q, n, mu, params, resolution); WrongParameters outside the family.
+
+    Cached, like verify_tdesign and is_affine_resolvable, on the design's
+    points and blocks, so equal designs share one computation.
+    """
+    aff = is_affine_resolvable(design)
+    if aff is None:
+        raise WrongParameters("not an affine resolvable 2-design")
+    q, mu, resolution = aff
+    params = verify_tdesign(design, 2)
     n, m = 0, 1
-    while m < v:
+    while m < params.v:
         m *= q
         n += 1
-    return n if m == v else None
+    if m != params.v or params.lam * (q - 1) != params.k - 1:
+        raise WrongParameters("parameters are not 2-(q^n, q^(n-1), (q^(n-1)-1)/(q-1))")
+    return AffineFamily(q, n, mu, params, resolution)
 
 
 @dataclass(frozen=True)
@@ -439,16 +467,7 @@ def good_block(design: IncidenceStructure, block_idx: int):
     simple 2-(q^(n-1), q^(n-2), (q^(n-2)-1)/(q-1)) design, else None.
     """
     _check_block_index(design, block_idx)
-    aff = is_affine_resolvable(design)
-    if aff is None:
-        raise WrongParameters("not an affine resolvable 2-design")
-    q, mu, _ = aff
-    params = verify_tdesign(design, 2)
-    n = _integer_log(params.v, q)
-    if n is None or n < 2 or params.k != params.v // q:
-        raise WrongParameters("parameters are not (q^n, q^(n-1), ...)")
-    if params.lam * (q - 1) != params.k - 1:
-        raise WrongParameters("lambda != (q^(n-1) - 1)/(q - 1)")
+    q, n, mu, params, _ = affine_family(design)
 
     base = set(design.blocks[block_idx])
     base_sorted = sorted(base)
@@ -569,6 +588,13 @@ def emit_des(design: IncidenceStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str, what: str) -> int:
+    # int() alone would also take "1_0", "+1" and non-ASCII digits
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise WrongParameters(f"{what} {token!r} is not an integer")
+    return int(token)
+
+
 def parse_des(text: str) -> IncidenceStructure:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -578,10 +604,12 @@ def parse_des(text: str) -> IncidenceStructure:
     head = lines[0].split()
     if len(head) != 2:
         raise WrongParameters("first line must be 'v b'")
-    v, b = int(head[0]), int(head[1])
+    v, b = _int(head[0], "v"), _int(head[1], "b")
+    if v < 0 or b < 0:
+        raise WrongParameters(f"v and b must be >= 0, got {v} {b}")
     if len(lines) - 1 != b:
         raise WrongParameters(f"expected {b} block lines, found {len(lines) - 1}")
-    blocks = [tuple(int(x) for x in line.split()) for line in lines[1:]]
+    blocks = [tuple(_int(x, "point") for x in line.split()) for line in lines[1:]]
     return IncidenceStructure(v, blocks)
 
 
@@ -595,8 +623,21 @@ def emit_json(design: IncidenceStructure) -> str:
 
 
 def parse_json(text: str) -> IncidenceStructure:
-    payload = json.loads(text)
-    return IncidenceStructure(payload["v"], payload["blocks"], name=payload.get("name"))
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise WrongParameters(f"malformed JSON: {exc}") from None
+    if not isinstance(payload, dict) or "v" not in payload or "blocks" not in payload:
+        raise WrongParameters("a JSON design is an object with 'v' and 'blocks'")
+    v, blocks = payload["v"], payload["blocks"]
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(v) is not int or v < 0:
+        raise WrongParameters(f"'v' must be an integer >= 0, got {v!r}")
+    if type(blocks) is not list or not all(
+        type(blk) is list and all(type(x) is int for x in blk) for blk in blocks
+    ):
+        raise WrongParameters("'blocks' must be a list of integer lists")
+    return IncidenceStructure(v, blocks, name=payload.get("name"))
 
 
 def save_design(design: IncidenceStructure, path: str) -> None:
@@ -606,6 +647,9 @@ def save_design(design: IncidenceStructure, path: str) -> None:
 
 
 def load_design(path: str) -> IncidenceStructure:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise WrongParameters(f"{path} is not UTF-8 text: {exc.reason}") from None
     return parse_json(text) if path.endswith(".json") else parse_des(text)

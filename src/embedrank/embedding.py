@@ -30,8 +30,10 @@ from .codes import (
     min_weight,
 )
 from .designs import (
+    DesignParams,
     IncidenceStructure,
     Resolution,
+    affine_family,
     good_block,
     is_affine_resolvable,
     residual,
@@ -124,23 +126,6 @@ class NecessaryCondition(NamedTuple):
     passes: bool
 
 
-def _family_parameters(design: IncidenceStructure):
-    """(q, n, params, resolution) for affine resolvable 2-(q^n, q^(n-1), ...)."""
-    aff = is_affine_resolvable(design)
-    if aff is None:
-        raise WrongParameters("not an affine resolvable 2-design")
-    q, mu, resolution = aff
-    params = verify_tdesign(design, 2)
-    n = 0
-    vv = params.v
-    while vv % q == 0:
-        vv //= q
-        n += 1
-    if vv != 1 or params.k != params.v // q or params.lam * (q - 1) != params.k - 1:
-        raise WrongParameters("parameters are not 2-(q^n, q^(n-1), (q^(n-1)-1)/(q-1))")
-    return q, n, params, resolution
-
-
 def thm5_necessary(
     design: IncidenceStructure,
     block_idx: int,
@@ -155,7 +140,7 @@ def thm5_necessary(
     parallel classes; fewer rules the resolution out.  Defaults to the
     resolution induced by the good block.
     """
-    q, n, _, _ = _family_parameters(design)
+    q, n, *_ = affine_family(design)
     if q < 4:
         raise WrongParameters("the necessary condition needs q >= 4")
     gb = good_block(design, block_idx)
@@ -177,7 +162,7 @@ def thm_taf_necessary(design: IncidenceStructure, p: int | None = None, cap: int
     unions of its parallel classes; an embedding forces at least
     (p-1)*C((q^n-1)/(q-1), 2) of them.
     """
-    q, n, params, resolution = _family_parameters(design)
+    q, n, _, _, resolution = affine_family(design)
     if q < 4:
         raise WrongParameters("the necessary condition needs q >= 4")
     if p is None:
@@ -201,7 +186,11 @@ def quasi_residual_params(v: int, k: int, lam: int):
 
 
 # ---------------------------------------------------------------------------
-# completion search at the 2-(64,16,5) sizes
+# completion searches: new point rows meeting the old rows and each other in lambda
+
+
+# (q, n) of the only instances searched and checked: the 2-(64,16,5) designs.
+_SEARCH_SIZES = (4, 3)
 
 
 @dataclass(frozen=True)
@@ -224,90 +213,125 @@ class EmbeddingSearchResult:
     records: tuple[CandidateRecord, ...]
 
 
-def _search_context(design: IncidenceStructure, block_idx: int, resolution: Resolution | None):
+class _SearchContext(NamedTuple):
+    """The residual matrix and the numbers the search derives from the parent.
+
+    rows          residual point rows over substructure, parallel and removed columns
+    room          per column, the parent's k minus the column sum of `rows`
+    r, lam        a new row's weight and its intersection with every other row
+    need          new rows to add: the parent's k, the points of the good block
+    per_candidate parallel classes a candidate's support covers beside `fixed`
+    """
+
+    params: DesignParams
+    ncols: int
+    rows: list[int]
+    basis: list[int]
+    class_masks: list[int]
+    fixed: int
+    room: list[int]
+    r: int
+    lam: int
+    need: int
+    per_candidate: int
+
+
+def _search_context(
+    design: IncidenceStructure, block_idx: int, resolution: Resolution | None
+) -> _SearchContext:
     gb = good_block(design, block_idx)
     if gb is None:
         raise NotGoodBlock(f"block {block_idx} is not good")
-    if (gb.q, gb.n) != (4, 3):
+    if (gb.q, gb.n) != _SEARCH_SIZES:
         raise InfeasibleInstance(
-            f"completion search is guarded to the (q, n) = (4, 3) sizes, got ({gb.q}, {gb.n})"
+            f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({gb.q}, {gb.n})"
         )
+    params = affine_family(design).params
     dpp = gb.substructure
     res = resolution if resolution is not None else gb.resolution
-    ncols = dpp.b + 4
-    rows = []
+    ncols = dpp.b + len(gb.parallel) + 1
+    if ncols > 128:
+        raise InternalCheckFailed(f"{ncols} columns do not fit the search's two 64-bit limbs")
+    classes, rest = divmod(params.r - 1, res.class_size)
+    if rest:
+        raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
     par_blocks = [set(design.blocks[j]) for j in gb.parallel]
-    labels = dpp.point_labels
-    masks = dpp.point_masks()
-    for i in range(dpp.v):
-        row = masks[i]
-        x = labels[i]
-        for m, blk in enumerate(par_blocks):
-            if x in blk:
-                row |= 1 << (dpp.b + m)
-        rows.append(row)
+    rows = [
+        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
+        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
+    ]
+    room = _room(rows, ncols, params.k)
+    if sum(room) != params.k * params.r:
+        raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
     rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    basis = rref.bits
     class_masks = [sum(1 << j for j in cls) for cls in res.classes]
     least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
     fixed = next(c for c, cls in enumerate(res.classes) if least_block in cls)
-    return gb, dpp, res, ncols, rows, basis, class_masks, fixed
+    return _SearchContext(
+        params=params, ncols=ncols, rows=rows, basis=rref.bits,
+        class_masks=class_masks, fixed=fixed, room=room,
+        r=params.r, lam=params.lam, need=params.k, per_candidate=classes - 1,
+    )
 
 
-def _complete(cands: list[int], rows48: list[int], dpp_b: int) -> list[tuple[int, ...]]:
-    """All 16-subsets forming valid new point rows, in candidate order."""
-    need = 16
-    counts = [0] * dpp_b
+def _room(rows: list[int], ncols: int, k: int) -> list[int]:
+    """k minus each column's sum over `rows`: the new rows each column still takes."""
+    return [k - sum(row >> j & 1 for row in rows) for j in range(ncols)]
+
+
+def _fill(cands: list[int], need: int, lam: int, room: list[int]) -> list[tuple[int, ...]]:
+    """Every `need`-subset of `cands` meeting pairwise in `lam` that fills `room`.
+
+    A chosen row takes one unit of room in each column of its support; a
+    choice is kept when it uses up every column's room exactly.  Choices come
+    out in candidate order.
+    """
+    room = list(room)
     chosen: list[int] = []
     out: list[tuple[int, ...]] = []
 
     def place(start: int) -> None:
         if len(chosen) == need:
-            if all(c == 4 for c in counts):
+            if not any(room):
                 out.append(tuple(chosen))
             return
         for t in range(start, len(cands)):
             if len(cands) - t < need - len(chosen):
                 return
             w = cands[t]
-            if any((w & c).bit_count() != 5 for c in chosen):
+            if any((w & c).bit_count() != lam for c in chosen):
                 continue
-            ok = True
-            m = w & ((1 << dpp_b) - 1)
             touched = []
+            m = w
             while m:
                 low = m & -m
                 j = low.bit_length() - 1
-                if counts[j] == 4:
-                    ok = False
+                if room[j] <= 0:
                     break
-                counts[j] += 1
+                room[j] -= 1
                 touched.append(j)
                 m ^= low
-            if ok:
+            if not m:
                 chosen.append(w)
                 place(t + 1)
                 chosen.pop()
             for j in touched:
-                counts[j] -= 1
+                room[j] += 1
 
     place(0)
     return out
 
 
-def _assemble(rows48: list[int], new_rows, ncols: int, tag: str) -> IncidenceStructure:
-    all_rows = list(rows48) + list(new_rows)
-    blocks = []
-    for j in range(ncols):
-        bit = 1 << j
-        blocks.append(tuple(i for i, r in enumerate(all_rows) if r & bit))
+def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceStructure:
+    all_rows = list(old_rows) + list(new_rows)
+    blocks = [tuple(i for i, r in enumerate(all_rows) if r >> j & 1) for j in range(ncols)]
     return IncidenceStructure(len(all_rows), blocks, name=tag)
 
 
 def _scan_range(args):
-    (start, stop, combos, fixed, class_masks, lo, hi, rows48, dpp_b, ncols) = args
-    last_bit = 1 << (ncols - 1)
-    par_mask = ((1 << (ncols - 1)) - 1) ^ ((1 << dpp_b) - 1)
+    (start, stop, combos, fixed, class_masks, lo, hi, rows, room, r, lam, need) = args
+    last_bit = 1 << (len(room) - 1)
+    par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
     found = []
     for idx in range(start, stop):
         combo = combos[idx]
@@ -317,17 +341,17 @@ def _scan_range(args):
         w_lo = lo ^ np.uint64(y & 0xFFFFFFFFFFFFFFFF)
         w_hi = hi ^ np.uint64(y >> 64)
         weights = np.bitwise_count(w_lo).astype(np.uint16) + np.bitwise_count(w_hi).astype(np.uint16)
-        hits = np.nonzero(weights == 21)[0]
+        hits = np.nonzero(weights == r)[0]
         cands = []
         for h in hits:
             w = int(w_lo[h]) | (int(w_hi[h]) << 64)
             if w & par_mask:
                 continue
-            if all((w & r).bit_count() == 5 for r in rows48):
+            if all((w & row).bit_count() == lam for row in rows):
                 cands.append(w)
-        if len(cands) < 16:
+        if len(cands) < need:
             continue
-        solutions = _complete(cands, rows48, dpp_b)
+        solutions = _fill(cands, need, lam, room)
         if solutions:
             found.append((idx, (fixed, *combo), solutions))
     return found
@@ -339,27 +363,27 @@ def embedding_search(
     resolution: Resolution | None = None,
     workers: int = 1,
 ) -> EmbeddingSearchResult:
-    """Reconstruct all affine resolvable 2-(64,16,5) designs over a residual.
+    """Reconstruct every affine resolvable design over a residual, with the parent's parameters.
 
-    Builds the 48x84 matrix of the residual structure (80 residual blocks,
-    the 3 blocks parallel to the removed one, and the removed block's zero
-    column), then tries every candidate new point row: a weight-21 vector with
-    the last coordinate set whose support covers the fixed parallel class
-    (the one holding the lexicographically least block) plus 4 of the other 19.
-    Each candidate spans a dimension-16 code; its weight-21 codewords with the
-    last coordinate set are searched for 16 rows with pairwise intersection 5
-    and column sums 16, which is exactly a completion to a 2-(64,16,5) design.
-    Designs are deduplicated per candidate by canonical form and classified
-    into isomorphism classes across candidates.
+    Builds the matrix of the residual structure at a good block: one row per
+    residual point; one column per substructure block, per block parallel to
+    the removed one, and a zero column for the removed block.  A candidate new
+    point row has weight r, the last coordinate set, and a support covering
+    the fixed parallel class (the one holding the lexicographically least
+    block) plus `per_candidate` of the others.  Each candidate spans a code
+    one dimension above the residual's; its weight-r codewords with the last
+    coordinate set are searched for k rows with pairwise intersection lambda
+    that bring every column sum to k, which is exactly a completion to a
+    design with the parent's parameters.  Designs are deduplicated per
+    candidate by canonical form and classified into isomorphism classes
+    across candidates.  Only the `_SEARCH_SIZES` instances are searched.
     """
-    gb, dpp, res, ncols, rows48, basis, class_masks, fixed = _search_context(
-        design, block_idx, resolution
-    )
-    # The full span in Gray-walk order; ncols is 84 here, two 64-bit limbs.
-    lo, hi = _span_table(_limbs(basis, ncols))
-    rest = [c for c in range(len(class_masks)) if c != fixed]
-    combos = list(itertools.combinations(rest, 4))
-    base_args = (combos, fixed, class_masks, lo, hi, rows48, dpp.b, ncols)
+    ctx = _search_context(design, block_idx, resolution)
+    # The full span in Gray-walk order, as two 64-bit limbs.
+    lo, hi = _span_table(_limbs(ctx.basis, ctx.ncols))
+    rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
+    combos = list(itertools.combinations(rest, ctx.per_candidate))
+    base_args = (combos, ctx.fixed, ctx.class_masks, lo, hi, ctx.rows, ctx.room, ctx.r, ctx.lam, ctx.need)
 
     if workers > 1:
         bounds = [len(combos) * i // workers for i in range(workers + 1)]
@@ -372,45 +396,35 @@ def embedding_search(
 
     designs: list[IncidenceStructure] = []
     records: list[CandidateRecord] = []
-    by_digest: dict[str, list[IncidenceStructure]] = {}
-    class_order: list[str] = []
+    # Digest -> first design and design count, in order of first appearance.
+    reps: dict[str, IncidenceStructure] = {}
     counts: dict[str, int] = {}
     for idx, class_indices, solutions in found:
-        cand_designs = []
-        cand_digests = []
+        # Digest -> design, deduplicated within the candidate.
+        cand: dict[str, IncidenceStructure] = {}
         for sol in solutions:
-            d = _assemble(rows48, sol, ncols, tag=f"completion {idx}")
-            aff = is_affine_resolvable(d)
-            params = verify_tdesign(d, 2)
-            if aff is None or params is None or (params.v, params.k, params.lam) != (64, 16, 5):
-                raise InternalCheckFailed("completion is not an affine resolvable 2-(64,16,5)")
-            digest = canonical_cert(d).digest
-            if digest in cand_digests:
-                continue
-            cand_digests.append(digest)
-            cand_designs.append(d)
-        for d, digest in zip(cand_designs, cand_digests):
+            d = _assemble(ctx.rows, sol, ctx.ncols, tag=f"completion {idx}")
+            if is_affine_resolvable(d) is None or verify_tdesign(d, 2) != ctx.params:
+                raise InternalCheckFailed("completion is not affine resolvable with the parent's parameters")
+            cand.setdefault(canonical_cert(d).digest, d)
+        for digest, d in cand.items():
             designs.append(d)
-            if digest not in counts:
-                counts[digest] = 0
-                class_order.append(digest)
-                by_digest[digest] = [d]
-            counts[digest] += 1
+            reps.setdefault(digest, d)
+            counts[digest] = counts.get(digest, 0) + 1
         records.append(
             CandidateRecord(
                 candidate_index=idx,
                 class_indices=tuple(class_indices),
-                dim=len(basis) + 1,
-                n_designs=len(cand_designs),
-                cert_digests=tuple(cand_digests),
+                dim=len(ctx.basis) + 1,
+                n_designs=len(cand),
+                cert_digests=tuple(cand),
             )
         )
-    iso_classes = tuple((by_digest[dg][0], counts[dg]) for dg in class_order)
     return EmbeddingSearchResult(
         candidates_examined=len(combos),
         viable_codes=len(records),
         designs=tuple(designs),
-        iso_classes=iso_classes,
+        iso_classes=tuple((reps[dg], n) for dg, n in counts.items()),
         records=tuple(records),
     )
 
@@ -426,7 +440,7 @@ def sym_embedding_code(design: IncidenceStructure, p: int = 2) -> LinearCode:
     point rows inside this code, because the bordered matrix's column sums
     are 1 mod p.
     """
-    q, _, _, _ = _family_parameters(design)
+    q = affine_family(design).q
     pq, _ = prime_power(q)
     if q % p or pq % p:
         raise WrongParameters(f"p = {p} does not divide q = {q}")
@@ -460,10 +474,10 @@ def sym_embedding_search(design: IncidenceStructure, p: int = 2, cap: int | None
     last coordinate set, meeting every old row in lam'; a backtracking search
     assembles k' of them with pairwise intersection lam' and column sums k'.
     """
-    params = verify_tdesign(design, 2)
+    params = affine_family(design).params
     target = quasi_residual_params(params.v, params.k, params.lam)
     if target is None:
-        raise WrongParameters("not quasi-residual: r != k + lambda")
+        raise InternalCheckFailed("an affine resolvable design that is not quasi-residual")
     vp, kp, lamp = target
     code = sym_embedding_code(design, p)
     if p != 2:
@@ -471,68 +485,20 @@ def sym_embedding_search(design: IncidenceStructure, p: int = 2, cap: int | None
     words = codewords_of_weight(code, kp, cap=cap)
     weight_count = len(words)
     b = design.b
-    last_bit = 1 << b
     old_rows = design.point_masks()
     cands = [
         w
         for w in words
-        if w & last_bit and all((w & r).bit_count() == lamp for r in old_rows)
+        if w >> b & 1 and all((w & r).bit_count() == lamp for r in old_rows)
     ]
+    solutions = _fill(cands, vp - design.v, lamp, _room(old_rows, b + 1, kp))
 
-    need = vp - design.v
-    col_have = [0] * b
-    for r in old_rows:
-        m = r
-        while m:
-            low = m & -m
-            col_have[low.bit_length() - 1] += 1
-            m ^= low
-    counts = [0] * b
-    chosen: list[int] = []
-    solutions: list[tuple[int, ...]] = []
-
-    def place(start: int) -> None:
-        if len(chosen) == need:
-            if all(col_have[j] + counts[j] == kp for j in range(b)):
-                solutions.append(tuple(chosen))
-            return
-        for t in range(start, len(cands)):
-            if len(cands) - t < need - len(chosen):
-                return
-            w = cands[t]
-            if any((w & c).bit_count() != lamp for c in chosen):
-                continue
-            ok = True
-            m = w ^ last_bit
-            touched = []
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if col_have[j] + counts[j] == kp:
-                    ok = False
-                    break
-                counts[j] += 1
-                touched.append(j)
-                m ^= low
-            if ok:
-                chosen.append(w)
-                place(t + 1)
-                chosen.pop()
-            for j in touched:
-                counts[j] -= 1
-
-    place(0)
-
-    out = []
-    seen = set()
+    # Digest -> design, one per isomorphism class.
+    out: dict[str, IncidenceStructure] = {}
     for sol in solutions:
         d = _assemble(old_rows, sol, b + 1, tag="symmetric completion")
         sp = verify_tdesign(d, 2)
         if sp is None or (sp.v, sp.k, sp.lam) != (vp, kp, lamp) or not sp.symmetric:
             raise InternalCheckFailed("assembled completion is not symmetric 2-(v', k', lam')")
-        digest = canonical_cert(d).digest
-        if digest in seen:
-            continue
-        seen.add(digest)
-        out.append(d)
-    return SymEmbedding(designs=tuple(out), weight_count=weight_count, target_params=target)
+        out.setdefault(canonical_cert(d).digest, d)
+    return SymEmbedding(designs=tuple(out.values()), weight_count=weight_count, target_params=target)

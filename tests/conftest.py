@@ -124,9 +124,14 @@ def e1_found(stage1) -> IncidenceStructure:
 
 
 @pytest.fixture(scope="session")
-def stage2(e1_found):
-    block = _least_good_block_in_orbit(e1_found, 3)
-    return embedding_search(e1_found, block)
+def e1_block(e1_found) -> int:
+    """The good block of the found e1 that stage 2 searches over."""
+    return _least_good_block_in_orbit(e1_found, 3)
+
+
+@pytest.fixture(scope="session")
+def stage2(e1_found, e1_block):
+    return embedding_search(e1_found, e1_block)
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,39 @@ def test_bad_cap_env_exits_one(fano_file, monkeypatch, capsys):
     assert "EMBEDRANK_CAP" in err["message"]
 
 
+MALFORMED_DESIGNS = [
+    ("header.des", b"x 2\n0 1\n1 2\n", "WrongParameters"),
+    ("letter.des", b"3 1\n0 z\n", "WrongParameters"),
+    ("fraction.des", b"3 1\n0 1.5\n", "WrongParameters"),
+    ("underscore.des", b"11 1\n1_0\n", "WrongParameters"),
+    ("fullwidth.des", "3 1\n0 \uff11\n".encode(), "WrongParameters"),
+    ("latin1.des", b"3 1\n0 1 \xe9\n", "WrongParameters"),
+    ("negative_v.des", b"-1 0\n", "WrongParameters"),
+    ("negative_b.des", b"3 -1\n", "WrongParameters"),
+    ("out_of_range.des", b"3 1\n0 3\n", "BadIndex"),
+    ("no_v.json", b'{"blocks": [[0, 1]]}', "WrongParameters"),
+    ("truncated.json", b'{"v": 3, "blocks": [[0, 1', "WrongParameters"),
+    ("blocks_int.json", b'{"v": 3, "blocks": 5}', "WrongParameters"),
+    ("not_object.json", b"[3, [[0, 1]]]", "WrongParameters"),
+    ("deep.json", b"[" * 100000 + b"]" * 100000, "WrongParameters"),
+    ("fraction.json", b'{"v": 3, "blocks": [[0, 1.5]]}', "WrongParameters"),
+    ("negative_v.json", b'{"v": -1, "blocks": []}', "WrongParameters"),
+    ("out_of_range.json", b'{"v": 3, "blocks": [[0, 3]]}', "BadIndex"),
+]
+
+
+@pytest.mark.parametrize("name, payload, error", MALFORMED_DESIGNS, ids=[c[0] for c in MALFORMED_DESIGNS])
+def test_malformed_design_exits_one(tmp_path, capsys, name, payload, error):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    assert run(["rank", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert err["message"]
+
+
 def test_gen_rank_pipeline(tmp_path, capsys):
     ag = tmp_path / "ag.des"
     pg = tmp_path / "pg.des"

@@ -1,15 +1,25 @@
 """Embeddability ranks, necessary conditions and symmetric completions."""
 
+import itertools
+import random
+
 import pytest
 
-from embedrank.codes import code_from_bitrows, code_from_cols, min_weight
+from embedrank import designs
+from embedrank.codes import code_from_bitrows, code_from_cols, codewords_of_weight, min_weight
 from embedrank.designs import (
     IncidenceStructure,
+    affine_family,
+    good_block,
+    is_affine_resolvable,
     make_resolution,
     residual,
     verify_tdesign,
 )
 from embedrank.embedding import (
+    _fill,
+    _room,
+    _search_context,
     embeddability,
     embedding_search,
     parallel_union_codewords,
@@ -163,6 +173,8 @@ def test_sym_embedding_small_case():
 def test_sym_embedding_rejects_non_quasi_residual(fano):
     with pytest.raises(WrongParameters):
         sym_embedding_search(fano)
+    with pytest.raises(WrongParameters):
+        sym_embedding_search(IncidenceStructure(4, [(0, 1), (1, 2, 3)]))  # not a 2-design
 
 
 def test_embedding_search_guards(e1):
@@ -171,3 +183,90 @@ def test_embedding_search_guards(e1):
         embedding_search(planes, 0)  # good block, wrong (q, n)
     with pytest.raises(NotGoodBlock):
         embedding_search(e1, 0)
+
+
+def _fill_oracle(cands, need, lam, room):
+    """Every need-subset, in combinations order, meeting pairwise in lam and filling room."""
+    out = []
+    for combo in itertools.combinations(cands, need):
+        if any((a & b).bit_count() != lam for a, b in itertools.combinations(combo, 2)):
+            continue
+        if all(sum(w >> j & 1 for w in combo) == c for j, c in enumerate(room)):
+            out.append(combo)
+    return out
+
+
+def test_fill_matches_brute_force_on_planes():
+    planes, _ = ag_design(3, 2, 2)
+    vp, kp, lamp = quasi_residual_params(8, 4, 3)
+    cands = codewords_of_weight(sym_embedding_code(planes), kp)
+    need = vp - planes.v
+    room = _room(planes.point_masks(), planes.b + 1, kp)
+    assert (len(cands), need) == (15, 7)
+    found = _fill(cands, need, lamp, room)
+    assert found == _fill_oracle(cands, need, lamp, room)
+    assert found
+
+
+def test_fill_matches_brute_force_on_random_instances():
+    rng = random.Random(7)
+    solved = 0
+    for _ in range(80):
+        ncols = rng.randrange(4, 9)
+        # rows of mixed weights, so a choice can stay inside the room without filling it
+        cands = [
+            sum(1 << j for j in rng.sample(range(ncols), rng.randrange(1, ncols)))
+            for _ in range(rng.randrange(4, 12))
+        ]
+        need = rng.randrange(1, 5)
+        # room planted from one choice, so that some instances have solutions
+        planted = rng.sample(cands, need)
+        lam = (planted[0] & planted[-1]).bit_count()
+        room = [sum(w >> j & 1 for w in planted) for j in range(ncols)]
+        found = _fill(cands, need, lam, room)
+        assert found == _fill_oracle(cands, need, lam, room)
+        solved += bool(found)
+    assert solved >= 10
+
+
+def _clear_fact_caches():
+    for fn in (affine_family, is_affine_resolvable, verify_tdesign):
+        fn.cache_clear()
+
+
+def test_affine_facts_computed_once(monkeypatch):
+    ag, _ = ag_design(3, 4, 2)
+    _clear_fact_caches()
+    pair_counts = []
+
+    def counting(pool, t):
+        if len(pool) == ag.v and t == 2:
+            pair_counts.append(t)
+        return itertools.combinations(pool, t)
+
+    monkeypatch.setattr(designs, "combinations", counting)
+    blocks = [good_block(ag, j) for j in range(ag.b)]
+    taf = thm_taf_necessary(ag)
+    code = sym_embedding_code(ag)
+    assert len(pair_counts) == 1
+    fam = affine_family(ag)
+    assert (fam.q, fam.n, fam.mu) == (4, 3, 4)
+
+    # an equal but fresh instance, with nothing cached, gives the same facts
+    fresh, _ = ag_design(3, 4, 2)
+    assert fresh is not ag and fresh == ag
+    _clear_fact_caches()
+    assert affine_family(fresh) == fam
+    assert [good_block(fresh, j) for j in range(fresh.b)] == blocks
+    assert thm_taf_necessary(fresh) == taf
+    fresh_code = sym_embedding_code(fresh)
+    assert (fresh_code.length, fresh_code.basis_bits) == (code.length, code.basis_bits)
+    assert len(pair_counts) == 2
+
+
+def test_search_constants_are_derived(ag34, e1_found, e1_block):
+    for design, block in ((ag34, 0), (e1_found, e1_block)):
+        ctx = _search_context(design, block, None)
+        assert (ctx.need, ctx.lam, ctx.r, ctx.per_candidate) == (16, 5, 21, 4)
+        assert ctx.ncols == design.b
+        assert ctx.room.count(0) == 3 and ctx.room[-1] == ctx.need
