@@ -192,12 +192,24 @@ def _histogram(basis: list[int], length: int, start: int, stop: int) -> np.ndarr
     return hist
 
 
-def _weight_words(basis: list[int], length: int, start: int, stop: int, w: int) -> list[int]:
+def _weight_words(
+    basis: list[int], length: int, start: int, stop: int, w: int, classes: np.ndarray | None = None
+) -> list[int]:
+    """The weight-w words of chunks start .. stop - 1, in walk order.
+
+    With `classes`, limb-major columns of disjoint coordinate sets, only the
+    words whose support is a union of some of those sets are kept; each chunk
+    is filtered before its words become Python ints.
+    """
     out: list[int] = []
     for words, weights in _walk(basis, length, start, stop):
-        hits = np.flatnonzero(weights == w)
-        if hits.size:
-            out += _words(words[:, hits])
+        hits = words[:, weights == w]
+        if classes is not None and hits.shape[1]:
+            meet = hits[:, :, None] & classes[:, None, :]
+            whole = (meet == 0).all(axis=0) | (meet == classes[:, None, :]).all(axis=0)
+            hits = hits[:, whole.all(axis=1)]
+        if hits.shape[1]:
+            out += _words(hits)
     return out
 
 

@@ -21,8 +21,11 @@ import numpy as np
 
 from .codes import (
     LinearCode,
+    _check_cap,
     _limbs,
+    _nchunks,
     _span_table,
+    _weight_words,
     code_from_bitrows,
     code_from_cols,
     code_from_rows,
@@ -112,9 +115,13 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
             raise WrongParameters("resolution classes overlap")
         seen |= m
         masks.append(m)
+    if code.p == 2:
+        _check_cap(code, cap)
+        classes = _limbs(masks, code.length)
+        return _weight_words(code.basis_bits, code.length, 0, _nchunks(code), w, classes)
     out = []
     for word in codewords_of_weight(code, w, cap=cap):
-        support = word if code.p == 2 else sum(1 << int(j) for j in np.flatnonzero(word))
+        support = sum(1 << int(j) for j in np.flatnonzero(word))
         if all((support & m) == 0 or (support & m) == m for m in masks):
             out.append(word)
     return out

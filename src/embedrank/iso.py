@@ -4,55 +4,129 @@ Designs are handled through their colored bipartite incidence graph: one
 vertex per point, one per (distinct) block, an edge for incidence.  Points
 and blocks live in separate color classes, and block classes are split by
 (size, multiplicity), so repeated-block structures are covered by coloring.
+The graph is one n x n numpy adjacency matrix, built once per design.
 
 Labeling uses individualization-refinement: refine to an equitable ordered
 partition, branch on the smallest non-singleton cell (lowest vertex first),
 and keep the leaf whose (invariant sequence, labeled adjacency) is maximal.
+An ordered partition is a vertex sequence plus a cell id per position.  The
+refinement holds its pending splitters as columns of neighbour counts, one
+matrix product per batch of new cells, and tests all of them against the
+partition in one comparison.  The splitters before the first one that splits
+a cell change nothing and are dropped, so the result is the ordered partition
+of refining with one splitter at a time, in queue order.  A leaf's labeled
+adjacency is the relabeled matrix packed to bytes.
+
 Automorphisms fall out whenever two explored leaves carry the same labeled
-graph; they are verified by application before use and drive orbit pruning.
-The canonical certificate is the canonical relabeling serialized as text;
-two structures are isomorphic iff their certificates match byte for byte.
+graph; they are verified by application before use and drive orbit pruning,
+with the stabilizer orbits found by min-label propagation over the
+generators.  The canonical certificate is the canonical relabeling
+serialized as text; two structures are isomorphic iff their certificates
+match byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .designs import IncidenceStructure, Resolution
 from .errors import WrongParameters
 
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+# Generators gathered at once by _orbit_labels (a block is _ORBIT_BLOCK x n).
+_ORBIT_BLOCK = 32
 
 
-def _refine(adj: list[int], cells: list[list[int]], work: deque) -> list[list[int]]:
-    """Equitable refinement of an ordered partition (1-dimensional WL)."""
-    while work:
-        smask = work.popleft()
-        out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
-            else:
-                for key in sorted(buckets):
-                    sub = buckets[key]
-                    out.append(sub)
-                    work.append(_mask(sub))
-        cells = out
-    return cells
+def _splitter_counts(
+    weights: np.ndarray, seq: np.ndarray, starts: np.ndarray, queued: np.ndarray
+) -> np.ndarray:
+    """Neighbour counts of every vertex in each queued cell, one column per cell.
+
+    `starts` flags the first position of every cell and `queued` the positions
+    of the cells to count, in partition order.  `weights` is the adjacency
+    matrix as float32, so the product runs in BLAS and stays exact (counts are
+    at most n, far below 2^24).
+    """
+    cols = np.cumsum(starts & queued)[queued] - 1
+    members = np.zeros((len(seq), int(cols[-1]) + 1 if len(cols) else 0), dtype=np.float32)
+    members[seq[queued], cols] = 1
+    return weights @ members
+
+
+def _refine(weights: np.ndarray, seq: np.ndarray, cell: np.ndarray, counts: np.ndarray):
+    """Equitable refinement of an ordered partition (1-dimensional WL).
+
+    The partition is `seq`, its vertices cell by cell, and `cell`, the cell id
+    (0, 1, ... in order) of each position.  `counts` holds the pending
+    splitters in queue order, one column of per-vertex neighbour counts each.
+    The first splitter that splits a cell splits every cell it can, each into
+    sub-cells by ascending count (a stable sort, so each sub-cell keeps the
+    order of its vertices); those sub-cells join the end of the queue.
+    Returns the refined (seq, cell).
+    """
+    n = len(seq)
+    same = cell[1:] == cell[:-1]
+    while counts.shape[1]:
+        rows = counts[seq]
+        differs = rows[1:] != rows[:-1]
+        differs &= same[:, None]
+        splits = differs.any(axis=0)
+        j = int(splits.argmax())
+        if not splits[j]:
+            break
+        key = cell * (n + 1) + rows[:, j]
+        order = np.argsort(key, kind="stable")
+        seq = seq[order]
+        key = key[order]
+        split_cells = np.zeros(n, dtype=bool)
+        split_cells[cell[1:][differs[:, j]]] = True
+        queued = split_cells[cell]
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        same = ~starts[1:]
+        cell = np.cumsum(starts) - 1
+        counts = np.concatenate(
+            [counts[:, j + 1 :], _splitter_counts(weights, seq, starts, queued)], axis=1
+        )
+    return seq, cell
+
+
+def _orbit_labels(gens, n: int) -> np.ndarray:
+    """The smallest element of each element's orbit under the permutations `gens`.
+
+    `gens` is a sequence of permutations of range(n) (rows of an array, or
+    tuples).  Min-label propagation: each element takes the smallest label
+    among itself and its images, and pointer jumping shortens chains, until
+    nothing changes.  At the fixed point labels[a] <= labels[g[a]] for every
+    generator, so a label is constant on each orbit, and it is one of the
+    orbit's elements, hence its minimum.  The generators are gathered in
+    blocks of _ORBIT_BLOCK rows, so the temporaries stay _ORBIT_BLOCK x n
+    however many generators there are.
+    """
+    labels = np.arange(n)
+    while len(gens):
+        before = labels
+        for i in range(0, len(gens), _ORBIT_BLOCK):
+            block = np.asarray(gens[i : i + _ORBIT_BLOCK], dtype=np.intp)
+            labels = np.minimum(labels, labels[block].min(axis=0))
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+    return labels
+
+
+def _leaf_key(adj: np.ndarray, order: np.ndarray) -> bytes:
+    """The adjacency relabeled by `order`, packed row by row, each row reversed.
+
+    Equal exactly when the relabeled graphs are equal, and ordered like the
+    tuple of row bitmasks (bit i = column i): row by row, the highest column
+    most significant.
+    """
+    return np.packbits(adj[np.ix_(order, order[::-1])]).tobytes()
 
 
 class _Backjump(Exception):
@@ -67,30 +141,16 @@ class _Backjump(Exception):
         self.level = level
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 class _Search:
-    """One individualization-refinement run over a colored graph."""
+    """One individualization-refinement run over a colored graph.
 
-    def __init__(self, adj: list[int], cells: list[list[int]]):
+    `adj` is the boolean adjacency matrix and `cells` the initial ordered
+    color classes.
+    """
+
+    def __init__(self, adj: np.ndarray, cells: list[list[int]]):
         self.adj = adj
+        self.weights = adj.astype(np.float32)
         self.n = len(adj)
         self.first_path: list[tuple[int, ...]] = []
         self.first_key = None
@@ -99,57 +159,49 @@ class _Search:
         self.best_path: list[tuple[int, ...]] = []
         self.best_key = None
         self.best_order = None
-        self.gens: list[tuple[int, ...]] = []
-        self._gen_set: set[tuple[int, ...]] = set()
-        self.epoch = 0
-        root = _refine(adj, cells, deque(_mask(c) for c in cells))
+        # generators found so far: the first self.ngens rows, capacity doubling
+        self._gens = np.empty((8, self.n), dtype=np.intp)
+        self.ngens = 0
+        self._gen_keys: set[bytes] = set()
+        cells = [c for c in cells if c]
+        seq = np.array([x for c in cells for x in c], dtype=np.intp)
+        cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+        starts = np.diff(cell, prepend=-1) != 0
+        counts = _splitter_counts(self.weights, seq, starts, np.ones(self.n, dtype=bool))
+        root = _refine(self.weights, seq, cell, counts)
         try:
             self._node(root, 0, eq_first=True, improving=True, dominated=False, prefix=[])
         except _Backjump:  # pragma: no cover - a jump level is never below the root
             pass
 
+    @property
+    def gens(self) -> np.ndarray:
+        """The verified generators found so far, one permutation per row."""
+        return self._gens[: self.ngens]
+
     # -- leaf helpers ------------------------------------------------------
 
-    def _leaf_key(self, order: list[int]) -> tuple[int, ...]:
-        pos = [0] * self.n
-        for i, v in enumerate(order):
-            pos[v] = i
-        rows = []
-        for v in order:
-            m = self.adj[v]
-            r = 0
-            while m:
-                low = m & -m
-                r |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            rows.append(r)
-        return tuple(rows)
-
     def _record_automorphism(self, ref_order, order) -> None:
-        gamma = [0] * self.n
-        for a, b in zip(order, ref_order):
-            gamma[a] = b
-        g = tuple(gamma)
-        if g in self._gen_set or all(g[i] == i for i in range(self.n)):
+        gamma = np.empty(self.n, dtype=np.intp)
+        gamma[order] = ref_order
+        key = gamma.tobytes()
+        if key in self._gen_keys or (gamma == np.arange(self.n)).all():
             return
-        adj = self.adj
-        for v in range(self.n):
-            m = adj[v]
-            img = 0
-            while m:
-                low = m & -m
-                img |= 1 << g[low.bit_length() - 1]
-                m ^= low
-            if img != adj[g[v]]:
-                return
-        self._gen_set.add(g)
-        self.gens.append(g)
-        self.epoch += 1
+        if not np.array_equal(self.adj[np.ix_(gamma, gamma)], self.adj):
+            return
+        if self.ngens == len(self._gens):
+            self._gens = np.concatenate([self._gens, np.empty_like(self._gens)])
+        self._gens[self.ngens] = gamma
+        self.ngens += 1
+        self._gen_keys.add(key)
 
     # -- search ------------------------------------------------------------
 
-    def _node(self, cells, depth, eq_first, improving, dominated, prefix) -> None:
-        inv = tuple(len(c) for c in cells)
+    def _node(self, partition, depth, eq_first, improving, dominated, prefix) -> None:
+        seq, cell = partition
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        sizes = np.diff(starts, append=self.n)
+        inv = tuple(sizes.tolist())
         if self.first_key is None:
             self.first_path.append(inv)
             eq_first = True
@@ -174,15 +226,9 @@ class _Search:
                         return
                     dominated = True
 
-        target = -1
-        size = self.n + 1
-        for i, cell in enumerate(cells):
-            if 1 < len(cell) < size:
-                target = i
-                size = len(cell)
-        if target < 0:
-            order = [c[0] for c in cells]
-            key = self._leaf_key(order)
+        if len(sizes) == self.n:
+            order = seq
+            key = _leaf_key(self.adj, order)
             if self.first_key is None:
                 self.first_key = key
                 self.first_order = order
@@ -211,29 +257,30 @@ class _Search:
                 raise _Backjump(level)
             return
 
-        cand = sorted(cells[target])
+        target = int(np.argmin(np.where(sizes > 1, sizes, self.n + 1)))
+        lo = int(starts[target])
+        hi = lo + int(sizes[target])
+        members = seq[lo:hi]
+        child_cell = cell.copy()
+        child_cell[lo + 1 :] += 1
         processed: list[int] = []
-        uf = None
-        built_epoch = -1
+        labels = None
+        built = -1
         first_child = True
-        for v in cand:
+        for v in sorted(members.tolist()):
             if processed:
-                if built_epoch != self.epoch:
-                    uf = _UnionFind(self.n)
-                    for g in self.gens:
-                        if all(g[x] == x for x in prefix):
-                            for a in range(self.n):
-                                uf.union(a, g[a])
-                    built_epoch = self.epoch
-                rv = uf.find(v)
-                if any(uf.find(u) == rv for u in processed):
+                if built != self.ngens:
+                    rows = self.gens
+                    if prefix:
+                        rows = rows[(rows[:, prefix] == prefix).all(axis=1)]
+                    labels = _orbit_labels(rows, self.n)
+                    built = self.ngens
+                if (labels[processed] == labels[v]).any():
                     continue
-            child = (
-                cells[:target]
-                + [[v], [u for u in cells[target] if u != v]]
-                + cells[target + 1 :]
-            )
-            child = _refine(self.adj, child, deque([1 << v]))
+            child_seq = seq.copy()
+            child_seq[lo] = v
+            child_seq[lo + 1 : hi] = members[members != v]
+            child = _refine(self.weights, child_seq, child_cell, self.weights[:, [v]])
             prefix.append(v)
             try:
                 self._node(child, depth + 1, eq_first, improving and first_child, dominated, prefix)
@@ -289,14 +336,7 @@ class PermGroup:
         return self._order
 
     def _orbit_partition(self, lo: int, hi: int) -> list[list[int]]:
-        uf = _UnionFind(self.degree)
-        for g in self.generators:
-            for a in range(lo, hi):
-                uf.union(a, g[a])
-        groups: dict[int, list[int]] = {}
-        for a in range(lo, hi):
-            groups.setdefault(uf.find(a), []).append(a)
-        return sorted((sorted(v) for v in groups.values()), key=lambda orb: orb[0])
+        return _orbit_lists(_orbit_labels(self.generators, self.degree), lo, hi)
 
     def point_orbits(self) -> list[list[int]]:
         return self._orbit_partition(0, self.n_points)
@@ -306,6 +346,14 @@ class PermGroup:
             [x - self.n_points for x in orb]
             for orb in self._orbit_partition(self.n_points, self.degree)
         ]
+
+
+def _orbit_lists(labels: np.ndarray, lo: int, hi: int) -> list[list[int]]:
+    """The orbits met by lo .. hi - 1, each ascending, ordered by their minimum."""
+    groups: dict[int, list[int]] = {}
+    for a, label in enumerate(labels[lo:hi].tolist(), start=lo):
+        groups.setdefault(label, []).append(a)
+    return list(groups.values())
 
 
 def orbits(group: PermGroup, domain: str) -> list[list[int]]:
@@ -329,16 +377,14 @@ def _dedupe(design: IncidenceStructure):
 
 
 def _graph(design: IncidenceStructure):
-    """Adjacency masks + initial cells for the colored incidence graph."""
+    """Boolean adjacency matrix + initial cells for the colored incidence graph."""
     distinct, mult = _dedupe(design)
     v = design.v
     n = v + len(distinct)
-    adj = [0] * n
+    adj = np.zeros((n, n), dtype=bool)
     for j, blk in enumerate(distinct):
-        bv = v + j
-        for x in blk:
-            adj[x] |= 1 << bv
-            adj[bv] |= 1 << x
+        adj[list(blk), v + j] = True
+    adj |= adj.T
     cells: list[list[int]] = [list(range(v))]
     by_color: dict[tuple[int, int], list[int]] = {}
     for j, blk in enumerate(distinct):
@@ -352,7 +398,7 @@ def _graph(design: IncidenceStructure):
 def _analyze(design: IncidenceStructure) -> tuple[CanonicalCert, PermGroup]:
     adj, cells, distinct, mult = _graph(design)
     search = _Search(adj, cells)
-    order = search.best_order
+    order = search.best_order.tolist()
     point_order = tuple(x for x in order if x < design.v)
     relabel = {x: i for i, x in enumerate(point_order)}
     canon = sorted(
@@ -372,7 +418,7 @@ def _analyze(design: IncidenceStructure) -> tuple[CanonicalCert, PermGroup]:
     )
     group = PermGroup(
         degree=len(adj),
-        generators=tuple(search.gens),
+        generators=tuple(map(tuple, search.gens.tolist())),
         n_points=design.v,
         deduplicated=not simple_multiset,
     )
@@ -409,17 +455,16 @@ def resolution_orbits(group: PermGroup, resolution_list: list[Resolution]) -> li
     index = {res.as_sets(): i for i, res in enumerate(resolution_list)}
     if len(index) != len(resolution_list):
         raise WrongParameters("duplicate resolutions in the list")
-    uf = _UnionFind(len(resolution_list))
+    maps = []
     for g in group.generators:
-        for i, res in enumerate(resolution_list):
+        row = []
+        for res in resolution_list:
             image = frozenset(
                 frozenset(g[v + j] - v for j in cls) for cls in res.classes
             )
             target = index.get(image)
             if target is None:
                 raise WrongParameters("generator does not permute the resolution list")
-            uf.union(i, target)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(resolution_list)):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [sorted(v) for _, v in sorted(groups.items())]
+            row.append(target)
+        maps.append(row)
+    return _orbit_lists(_orbit_labels(maps, len(resolution_list)), 0, len(resolution_list))

@@ -307,6 +307,27 @@ def test_span_kernel_matches_gray_walk():
         assert weight_distribution(code, workers=3).counts == weight_distribution(code).counts
 
 
+def test_parallel_union_filter_matches_gray_walk():
+    # codes spanned mostly by unions of classes, across limb and chunk boundaries
+    rng = random.Random(108)
+    for length, dim in ((12, 5), (65, 9), (130, 13), (336, 14)):
+        coords = list(range(length))
+        rng.shuffle(coords)
+        cuts = sorted(rng.sample(range(1, length), length // 5))
+        classes = [tuple(sorted(coords[a:b])) for a, b in zip([0] + cuts, cuts + [length])]
+        masks = [sum(1 << j for j in cls) for cls in classes]
+        rows = [sum(m for m in masks if rng.random() < 0.4) for _ in range(dim - 2)]
+        rows += [rng.getrandbits(length) for _ in range(2)]
+        code = code_from_bitrows(rows, length)
+        ref = list(_gray_walk(code.basis_bits))
+        unions = [x for x in ref if all(x & m in (0, m) for m in masks)]
+        assert len(unions) > 2
+        res = Resolution(tuple(classes))
+        for w in {0, length} | {x.bit_count() for x in unions}:
+            want = [x for x in unions if x.bit_count() == w]
+            assert parallel_union_codewords(code, res, w) == want
+
+
 def test_hex_round_trip():
     rng = random.Random(106)
     assert codeword_to_hex(0b1011, 4) == "d"

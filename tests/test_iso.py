@@ -2,10 +2,13 @@
 
 import hashlib
 import random
+from collections import deque
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from embedrank import expected, iso
 from embedrank.designs import IncidenceStructure, resolutions
 from embedrank.errors import WrongParameters
 from embedrank.geometry import ag_design, pg_design
@@ -155,3 +158,184 @@ def test_resolution_orbits_validation(k4_edges):
     doubled = IncidenceStructure(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
     with pytest.raises(WrongParameters):
         resolution_orbits(automorphism_group(doubled), sols)
+
+
+def _loop_refine(adj, cells, work):
+    """Reference refinement: one bitmask splitter at a time, in queue order."""
+    while work:
+        smask = work.popleft()
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                for key in sorted(buckets):
+                    out.append(buckets[key])
+                    work.append(sum(1 << u for u in buckets[key]))
+        cells = out
+    return cells
+
+
+def _matrix(adj):
+    n = len(adj)
+    return np.array([[(adj[v] >> u) & 1 for u in range(n)] for v in range(n)], dtype=bool)
+
+
+def _batched_refine(adj, cells, splitters):
+    """iso._refine on the same partition and splitter queue, as a list of cells."""
+    weights = _matrix(adj).astype(np.float32)
+    seq = np.array([x for c in cells for x in c], dtype=np.intp)
+    cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    members = np.zeros((len(adj), len(splitters)), dtype=np.float32)
+    for j, s in enumerate(splitters):
+        members[list(s), j] = 1
+    seq, cell = iso._refine(weights, seq, cell, weights @ members)
+    bounds = np.flatnonzero(np.diff(cell)) + 1
+    return [part.tolist() for part in np.split(seq, bounds)] if len(seq) else []
+
+
+def _both_refines(adj, cells, splitters):
+    want = _loop_refine(adj, cells, deque(sum(1 << u for u in s) for s in splitters))
+    assert _batched_refine(adj, cells, splitters) == want
+    return want
+
+
+def _random_graph(rng, n, p, isolated):
+    adj = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a not in isolated and b not in isolated and rng.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
+def _check_refinements(rng, adj, cells):
+    """Root refinement by all cells, then individualize vertices down one path."""
+    cells = _both_refines(adj, cells, cells)
+    while any(len(c) > 1 for c in cells):
+        t = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
+        v = rng.choice(cells[t])
+        child = cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1 :]
+        cells = _both_refines(adj, child, [[v]])
+
+
+def test_batched_refine_matches_loop_on_random_graphs():
+    rng = random.Random(203)
+    for n in (1, 2, 7, 40, 63, 64, 65, 100, 150):
+        for p in (0.1, 0.5, 0.9):
+            isolated = set(rng.sample(range(n), n // 6))
+            adj = _random_graph(rng, n, p, isolated)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            ncolors = rng.choice((1, 2, 5))
+            cuts = sorted(rng.sample(range(1, n), min(ncolors, n) - 1))
+            cells = [perm[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            _check_refinements(rng, adj, cells)
+            # an individualized vertex as the only splitter of a coarse partition
+            v = perm[0]
+            rest = [[u for u in cell if u != v] for cell in cells]
+            _both_refines(adj, [[v]] + [c for c in rest if c], [[v]])
+
+
+def test_batched_refine_matches_loop_on_designs():
+    rng = random.Random(204)
+    designs = [ag_design(3, 2, 2)[0], pg_design(3, 2, 2), _relabel(ag_design(2, 3, 1)[0], rng)]
+    for _ in range(6):
+        v = rng.randrange(3, 20)
+        blocks = [
+            tuple(sorted(rng.sample(range(v), rng.randrange(1, v))))
+            for _ in range(rng.randrange(2, 40))
+        ]
+        designs.append(IncidenceStructure(v, blocks))
+    for design in designs:
+        matrix, cells, _, _ = iso._graph(design)
+        adj = [sum(1 << int(u) for u in np.flatnonzero(row)) for row in matrix]
+        _check_refinements(rng, adj, [c for c in cells if c])
+
+
+def _tuple_key(adj, order):
+    """Reference leaf key: the relabeled rows as bitmasks (bit i = column i)."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(sum(1 << pos[u] for u in range(len(adj)) if (adj[v] >> u) & 1) for v in order)
+
+
+def test_packed_leaf_key_orders_like_row_tuples():
+    rng = random.Random(205)
+    for n in (1, 5, 8, 9, 63, 64, 65, 130):
+        isolated = set(rng.sample(range(n), min(n, 3)))
+        adj = _random_graph(rng, n, rng.random(), isolated)
+        matrix = _matrix(adj)
+        for _ in range(20):
+            a, b = list(range(n)), list(range(n))
+            rng.shuffle(a)
+            if rng.random() < 0.3 and n > 3:
+                # swapping two isolated vertices gives an equal key
+                b = list(a)
+                i, j = (a.index(x) for x in rng.sample(sorted(isolated), 2))
+                b[i], b[j] = b[j], b[i]
+            else:
+                rng.shuffle(b)
+            ta, tb = _tuple_key(adj, a), _tuple_key(adj, b)
+            pa, pb = (iso._leaf_key(matrix, np.array(o)) for o in (a, b))
+            assert (pa < pb, pa == pb) == (ta < tb, ta == tb)
+
+
+@pytest.mark.parametrize(
+    "name, seeds",
+    [("ag34", (0, 1, 2)), ("e2", (0, 1, 2)), ("e1", (1,))],
+    ids=["ag34", "e2", "e1"],
+)
+def test_labeling_invariance(request, name, seeds):
+    # The bundled e1 is by far the slowest of these designs to label as
+    # numbered, so its relabeling is compared with the frozen digest only.
+    design = request.getfixturevalue(name)
+    frozen = {
+        "ag34": (None, expected.AUT_ORDER_AG34, expected.AG34_BLOCK_ORBITS),
+        "e1": (expected.E1_DIGEST, expected.AUT_ORDER_E1, expected.E1_BLOCK_ORBITS),
+        "e2": (expected.E2_DIGEST, expected.AUT_ORDER_E2, expected.E2_BLOCK_ORBITS),
+    }
+    digest, order, block_orbits = frozen[name]
+    base = canonical_cert(design) if name != "e1" else None
+    for seed in seeds:
+        other = _relabel(design, random.Random(seed))
+        cert = canonical_cert(other)
+        if base is not None:
+            assert cert == base and cert.digest == base.digest
+        if digest is not None:
+            assert cert.digest == digest
+        group = automorphism_group(other)
+        assert group.order() == order
+        assert tuple(sorted(len(o) for o in orbits(group, "blocks"))) == block_orbits
+
+
+def test_orbit_labels_are_orbit_minima():
+    rng = random.Random(206)
+    for n in (1, 2, 9, 40, 150):
+        for k in (0, 1, 2, 4, 70):
+            gens = []
+            for _ in range(k):
+                # a permutation moving only a random subset, so orbits vary in size
+                moved = rng.sample(range(n), rng.randrange(0, n + 1))
+                image = moved[:]
+                rng.shuffle(image)
+                g = list(range(n))
+                for a, b in zip(moved, image):
+                    g[a] = b
+                gens.append(g)
+            labels = iso._orbit_labels(gens, n)
+            for a in range(n):
+                orbit, todo = {a}, [a]
+                while todo:
+                    x = todo.pop()
+                    for g in gens:
+                        if g[x] not in orbit:
+                            orbit.add(g[x])
+                            todo.append(g[x])
+                assert labels[a] == min(orbit)
