@@ -26,6 +26,7 @@ from .codes import (
     _nchunks,
     _span_table,
     _weight_words,
+    _words,
     code_from_bitrows,
     code_from_cols,
     code_from_rows,
@@ -224,6 +225,8 @@ class _SearchContext(NamedTuple):
     """The residual matrix and the numbers the search derives from the parent.
 
     rows          residual point rows over substructure, parallel and removed columns
+    class_masks   the resolution's classes over the substructure columns
+    fixed         the class every candidate covers: the one with the least block
     room          per column, the parent's k minus the column sum of `rows`
     r, lam        a new row's weight and its intersection with every other row
     need          new rows to add: the parent's k, the points of the good block
@@ -258,9 +261,14 @@ def _search_context(
     res = resolution if resolution is not None else gb.resolution
     ncols = dpp.b + len(gb.parallel) + 1
     if ncols > 128:
-        raise InternalCheckFailed(f"{ncols} columns do not fit the search's two 64-bit limbs")
-    classes, rest = divmod(params.r - 1, res.class_size)
-    if rest:
+        raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
+    # The premises of the scan's class-count identity (see _hits).
+    removed = set(design.blocks[block_idx])
+    if any(x in removed for x in dpp.point_labels):
+        raise InternalCheckFailed("a residual row meets the removed block")
+    class_masks = _class_masks(res, dpp.b)
+    per_candidate = (params.r - 1) // res.class_size - 1
+    if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
     par_blocks = [set(design.blocks[j]) for j in gb.parallel]
     rows = [
@@ -271,14 +279,35 @@ def _search_context(
     if sum(room) != params.k * params.r:
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
     rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    class_masks = [sum(1 << j for j in cls) for cls in res.classes]
     least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
-    fixed = next(c for c, cls in enumerate(res.classes) if least_block in cls)
+    fixed = next((c for c, cls in enumerate(res.classes) if least_block in cls), None)
+    if fixed is None:
+        raise InternalCheckFailed("no parallel class holds the least substructure block")
     return _SearchContext(
         params=params, ncols=ncols, rows=rows, basis=rref.bits,
         class_masks=class_masks, fixed=fixed, room=room,
-        r=params.r, lam=params.lam, need=params.k, per_candidate=classes - 1,
+        r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
+
+
+def _class_masks(res: Resolution, width: int) -> list[int]:
+    """The classes as bitmasks, checked of one nonzero size, pairwise disjoint and below `width`."""
+    size = res.class_size
+    if not size:
+        raise InternalCheckFailed("the resolution has no nonempty class")
+    masks: list[int] = []
+    seen = 0
+    for cls in res.classes:
+        if len(cls) != size or len(set(cls)) != size:
+            raise InternalCheckFailed("parallel classes differ in size")
+        if not all(0 <= j < width for j in cls):
+            raise InternalCheckFailed("a parallel class indexes past the substructure's blocks")
+        m = sum(1 << j for j in cls)
+        if m & seen:
+            raise InternalCheckFailed("parallel classes overlap")
+        seen |= m
+        masks.append(m)
+    return masks
 
 
 def _room(rows: list[int], ncols: int, k: int) -> list[int]:
@@ -335,32 +364,98 @@ def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceS
     return IncidenceStructure(len(all_rows), blocks, name=tag)
 
 
+# Candidates per chunk of the scan; bounds its (candidates x words) count table.
+_SCAN_CHUNK = 1024
+
+
+class _ScanTable(NamedTuple):
+    """The span words a candidate can turn into a new row, with their class counts.
+
+    words   limb-major uint64 columns, in Gray-walk order: the span words with
+            no parallel column whose counts can reach `target`
+    counts  counts[c, i] = |words[i] & class c|
+    target  the sum of counts[c, i] over a candidate's non-fixed classes that
+            makes words[i] XOR the candidate's row weigh r
+    """
+
+    words: np.ndarray
+    counts: np.ndarray
+    target: np.ndarray
+
+
+def _popcount(cols: np.ndarray) -> np.ndarray:
+    """Hamming weights of limb-major uint64 columns of at most 255 bits, as uint8."""
+    return sum(np.bitwise_count(limb) for limb in cols)
+
+
+def _scan_table(ctx: _SearchContext) -> _ScanTable:
+    """The span words that meet no parallel column and can weigh r under some candidate."""
+    span = _span_table(_limbs(ctx.basis, ctx.ncols))
+    par = _limbs([sum(1 << j for j, c in enumerate(ctx.room) if c == 0)], ctx.ncols)
+    keep = np.ones(span.shape[1], dtype=bool)
+    for limb, mask in zip(span, par[:, 0]):
+        keep &= (limb & mask) == 0
+    words = span[:, keep]
+    del span  # the full span is the search's largest array; free it before the counts
+    counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
+    for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
+        counts[c] = _popcount(words & mask[:, None])
+    weight = _popcount(words)
+    target = weight // 2 - counts[ctx.fixed]
+    others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
+    top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
+    ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
+    return _ScanTable(words[:, ok], counts[:, ok], target[ok])
+
+
+def _hits(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-r words s ^ y for the candidates whose other classes are the rows of `idx`.
+
+    Candidate y is the last coordinate plus the fixed class plus the classes
+    in its row of `idx`.  No span word s meets the last column and the classes
+    are disjoint, so |s ^ y| = |s| + r - 2 * (sum over y's classes of
+    |s & class|): s ^ y weighs r exactly when the counts of y's other classes
+    on s sum to table.target.  Returns the candidate (row of `idx`) of every
+    hit and the hit words as limb-major columns, candidate by candidate, each
+    candidate's in Gray-walk order.
+    """
+    class_cols = _limbs(ctx.class_masks, ctx.ncols)
+    base = _limbs([1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]], ctx.ncols)
+    ys = np.repeat(base, len(idx), axis=1)
+    sums = np.zeros((len(idx), table.words.shape[1]), dtype=np.int16)
+    for col in idx.T:
+        sums += table.counts[col]
+        ys |= class_cols[:, col]
+    cand, pos = np.nonzero(sums == table.target)
+    return cand, table.words[:, pos] ^ ys[:, cand]
+
+
 def _scan_range(args):
-    (start, stop, combos, fixed, class_masks, lo, hi, rows, room, r, lam, need) = args
-    last_bit = 1 << (len(room) - 1)
-    par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
+    """The viable candidates among start .. stop - 1, as (index, classes, solutions).
+
+    A candidate's hits (see `_hits`) that meet every old row in lambda are its
+    rows for `_fill`; it is viable when `_fill` finds a completion among them.
+    """
+    start, stop, ctx, table = args
+    rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
+    combos = itertools.islice(itertools.combinations(rest, ctx.per_candidate), start, None)
+    row_cols = _limbs(ctx.rows, ctx.ncols)
     found = []
-    for idx in range(start, stop):
-        combo = combos[idx]
-        y = last_bit
-        for c in (fixed, *combo):
-            y |= class_masks[c]
-        w_lo = lo ^ np.uint64(y & 0xFFFFFFFFFFFFFFFF)
-        w_hi = hi ^ np.uint64(y >> 64)
-        weights = np.bitwise_count(w_lo).astype(np.uint16) + np.bitwise_count(w_hi).astype(np.uint16)
-        hits = np.nonzero(weights == r)[0]
-        cands = []
-        for h in hits:
-            w = int(w_lo[h]) | (int(w_hi[h]) << 64)
-            if w & par_mask:
-                continue
-            if all((w & row).bit_count() == lam for row in rows):
-                cands.append(w)
-        if len(cands) < need:
-            continue
-        solutions = _fill(cands, need, lam, room)
-        if solutions:
-            found.append((idx, (fixed, *combo), solutions))
+    for first in range(start, stop, _SCAN_CHUNK):
+        n = min(_SCAN_CHUNK, stop - first)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, n))
+        idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
+        cand, hits = _hits(ctx, table, idx)
+        ok = np.ones(len(cand), dtype=bool)
+        for row in row_cols.T:
+            ok &= _popcount(hits & row[:, None]) == ctx.lam
+        cand, hits = cand[ok], hits[:, ok]
+        bounds = np.searchsorted(cand, np.arange(n + 1))
+        for i in np.flatnonzero(np.diff(bounds) >= ctx.need):
+            cands = _words(hits[:, bounds[i] : bounds[i + 1]])
+            solutions = _fill(cands, ctx.need, ctx.lam, ctx.room)
+            if solutions:
+                found.append((first + int(i), (ctx.fixed, *map(int, idx[i])), solutions))
     return found
 
 
@@ -377,29 +472,31 @@ def embedding_search(
     the removed one, and a zero column for the removed block.  A candidate new
     point row has weight r, the last coordinate set, and a support covering
     the fixed parallel class (the one holding the lexicographically least
-    block) plus `per_candidate` of the others.  Each candidate spans a code
-    one dimension above the residual's; its weight-r codewords with the last
-    coordinate set are searched for k rows with pairwise intersection lambda
-    that bring every column sum to k, which is exactly a completion to a
-    design with the parent's parameters.  Designs are deduplicated per
+    block) plus `per_candidate` of the others.  Each candidate y spans a code
+    one dimension above the residual's, whose words with the last coordinate
+    set are s ^ y for the residual's span words s.  No span word meets the
+    removed block's column and the classes are disjoint, so
+    |s ^ y| = |s| + |y| - 2 * sum over the classes c of y of |s & c|, with
+    |y| = r: the scan finds the weight-r words from a table of per-class
+    counts of the span words that meet no parallel column, instead of XORing
+    y into the whole span.  Those words meeting every old row in lambda are
+    searched for k rows with pairwise intersection lambda that bring every
+    column sum to k, which is exactly a completion to a design with the
+    parent's parameters.  Designs are deduplicated per
     candidate by canonical form and classified into isomorphism classes
     across candidates.  Only the `_SEARCH_SIZES` instances are searched.
     """
     ctx = _search_context(design, block_idx, resolution)
-    # The full span in Gray-walk order, as two 64-bit limbs.
-    lo, hi = _span_table(_limbs(ctx.basis, ctx.ncols))
-    rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
-    combos = list(itertools.combinations(rest, ctx.per_candidate))
-    base_args = (combos, ctx.fixed, ctx.class_masks, lo, hi, ctx.rows, ctx.room, ctx.r, ctx.lam, ctx.need)
-
+    examined = comb(len(ctx.class_masks) - 1, ctx.per_candidate)
+    table = _scan_table(ctx)
     if workers > 1:
-        bounds = [len(combos) * i // workers for i in range(workers + 1)]
-        chunks = [(bounds[i], bounds[i + 1], *base_args) for i in range(workers)]
+        bounds = [examined * i // workers for i in range(workers + 1)]
+        chunks = [(bounds[i], bounds[i + 1], ctx, table) for i in range(workers)]
         with get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_range, chunks)
         found = [hit for part in parts for hit in part]
     else:
-        found = _scan_range((0, len(combos), *base_args))
+        found = _scan_range((0, examined, ctx, table))
 
     designs: list[IncidenceStructure] = []
     records: list[CandidateRecord] = []
@@ -428,7 +525,7 @@ def embedding_search(
             )
         )
     return EmbeddingSearchResult(
-        candidates_examined=len(combos),
+        candidates_examined=examined,
         viable_codes=len(records),
         designs=tuple(designs),
         iso_classes=tuple((reps[dg], n) for dg, n in counts.items()),

@@ -1,14 +1,26 @@
 """Embeddability ranks, necessary conditions and symmetric completions."""
 
+import dataclasses
 import itertools
 import random
+from math import comb
 
+import numpy as np
 import pytest
 
-from embedrank import designs
-from embedrank.codes import code_from_bitrows, code_from_cols, codewords_of_weight, min_weight
+from embedrank import designs, embedding
+from embedrank.codes import (
+    _limbs,
+    _span_table,
+    _words,
+    code_from_bitrows,
+    code_from_cols,
+    codewords_of_weight,
+    min_weight,
+)
 from embedrank.designs import (
     IncidenceStructure,
+    Resolution,
     affine_family,
     good_block,
     is_affine_resolvable,
@@ -18,8 +30,12 @@ from embedrank.designs import (
 )
 from embedrank.embedding import (
     _fill,
+    _hits,
     _room,
+    _scan_range,
+    _scan_table,
     _search_context,
+    _SearchContext,
     embeddability,
     embedding_search,
     parallel_union_codewords,
@@ -33,12 +49,13 @@ from embedrank.embedding import (
 from embedrank.errors import (
     BadIndex,
     InfeasibleInstance,
+    InternalCheckFailed,
     NotGoodBlock,
     WrongParameters,
 )
 from embedrank.geometry import ag_design, pg_design
-from embedrank.iso import are_isomorphic
-from embedrank.linalg import mat_rank
+from embedrank.iso import are_isomorphic, resolution_orbits
+from embedrank.linalg import MatGFp, mat_rank, mat_rref
 
 
 def test_embeddability_fano(fano):
@@ -270,3 +287,213 @@ def test_search_constants_are_derived(ag34, e1_found, e1_block):
         assert (ctx.need, ctx.lam, ctx.r, ctx.per_candidate) == (16, 5, 21, 4)
         assert ctx.ncols == design.b
         assert ctx.room.count(0) == 3 and ctx.room[-1] == ctx.need
+
+
+# ---------------------------------------------------------------------------
+# the scan: class-count table against the per-candidate XOR over the whole span
+
+
+def _reference_scan(args):
+    """The scan before the class-count table: XOR each candidate into every span word."""
+    (start, stop, combos, fixed, class_masks, lo, hi, rows, room, r, lam, need) = args
+    last_bit = 1 << (len(room) - 1)
+    par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
+    found = []
+    for idx in range(start, stop):
+        combo = combos[idx]
+        y = last_bit
+        for c in (fixed, *combo):
+            y |= class_masks[c]
+        w_lo = lo ^ np.uint64(y & 0xFFFFFFFFFFFFFFFF)
+        w_hi = hi ^ np.uint64(y >> 64)
+        weights = np.bitwise_count(w_lo).astype(np.uint16) + np.bitwise_count(w_hi).astype(np.uint16)
+        hits = np.nonzero(weights == r)[0]
+        cands = []
+        for h in hits:
+            w = int(w_lo[h]) | (int(w_hi[h]) << 64)
+            if w & par_mask:
+                continue
+            if all((w & row).bit_count() == lam for row in rows):
+                cands.append(w)
+        if len(cands) < need:
+            continue
+        solutions = _fill(cands, need, lam, room)
+        if solutions:
+            found.append((idx, (fixed, *combo), solutions))
+    return found
+
+
+def _combos(ctx):
+    rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
+    return list(itertools.combinations(rest, ctx.per_candidate))
+
+
+def _reference_args(ctx):
+    """`_reference_scan`'s arguments for every candidate; one limb is padded to two."""
+    span = _span_table(_limbs(ctx.basis, ctx.ncols))
+    lo, hi = span if len(span) == 2 else (span[0], np.zeros_like(span[0]))
+    combos = _combos(ctx)
+    return (
+        0, len(combos), combos, ctx.fixed, ctx.class_masks, lo, hi,
+        ctx.rows, ctx.room, ctx.r, ctx.lam, ctx.need,
+    )
+
+
+def _scan_all(ctx):
+    return _scan_range((0, comb(len(ctx.class_masks) - 1, ctx.per_candidate), ctx, _scan_table(ctx)))
+
+
+def _assert_scan_matches(design, block, resolution=None):
+    ctx = _search_context(design, block, resolution)
+    found = _scan_all(ctx)
+    assert found == _reference_scan(_reference_args(ctx))
+    return found
+
+
+def _non_good_resolutions(gb, group, res_list):
+    """One resolution from each Aut(D'')-orbit that misses the good block's resolution."""
+    good = gb.resolution.as_sets()
+    orbs = resolution_orbits(group, res_list)
+    return [res_list[orb[0]] for orb in orbs if all(res_list[i].as_sets() != good for i in orb)]
+
+
+def test_scan_matches_reference_loop(ag34, ag34_gb, dpp_group, dpp_resolutions):
+    found = _assert_scan_matches(ag34, 0)
+    assert len(found) == 16
+    others = _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions)
+    assert len(others) == 2
+    for res in others:
+        assert _assert_scan_matches(ag34, 0, res) == []
+    # a relabeled AG_2(3,4) at a seeded block; every block of it is good
+    rng = random.Random(11)
+    perm = list(range(ag34.v))
+    rng.shuffle(perm)
+    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in ag34.blocks]
+    rng.shuffle(blocks)
+    relabeled = IncidenceStructure(ag34.v, blocks)
+    assert len(_assert_scan_matches(relabeled, rng.randrange(relabeled.b))) == 16
+
+
+def test_scan_matches_reference_loop_on_found_e1(e1_found, e1_block):
+    assert len(_assert_scan_matches(e1_found, e1_block)) == 16
+
+
+def _reference_hits(ctx):
+    """(candidate, word) for every weight-r word s ^ y meeting no parallel column, from the full span."""
+    _, _, combos, fixed, class_masks, lo, hi, _, room, r, _, _ = _reference_args(ctx)
+    par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
+    out = []
+    for i, combo in enumerate(combos):
+        y = 1 << (ctx.ncols - 1) | sum(class_masks[c] for c in (fixed, *combo))
+        w_lo = lo ^ np.uint64(y & 0xFFFFFFFFFFFFFFFF)
+        w_hi = hi ^ np.uint64(y >> 64)
+        for h in np.flatnonzero(np.bitwise_count(w_lo) + np.bitwise_count(w_hi) == r):
+            w = int(w_lo[h]) | int(w_hi[h]) << 64
+            if not w & par_mask:
+                out.append((i, w))
+    return out
+
+
+def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
+    """The table's hits are exactly the reference's weight-r words, in its order.
+
+    The lambda test downstream discards words of the wrong weight, so only this
+    comparison sees a hit the class-count identity should not give.
+    """
+    planes, _ = ag_design(3, 2, 2)
+    res = _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions)[0]
+    cases = ((ag34, 0, None, (4, 3)), (ag34, 0, res, (4, 3)), (planes, 3, None, (2, 3)))
+    for design, block, resolution, sizes in cases:
+        monkeypatch.setattr(embedding, "_SEARCH_SIZES", sizes)
+        ctx = _search_context(design, block, resolution)
+        expected = _reference_hits(ctx)
+        assert expected
+        assert _table_hits(ctx) == expected
+
+
+def _table_hits(ctx):
+    idx = np.array(_combos(ctx), dtype=np.int8).reshape(-1, ctx.per_candidate)
+    cand, words = _hits(ctx, _scan_table(ctx), idx)
+    return list(zip(cand.tolist(), _words(words)))
+
+
+def _random_context(rng, nclasses, size, npar):
+    """Random rows over shuffled class columns, then `npar` parallel columns and the removed block's."""
+    width = nclasses * size
+    ncols = width + npar + 1
+    cols = list(range(width))
+    rng.shuffle(cols)
+    class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
+    rows = [rng.getrandbits(width + npar) for _ in range(rng.randrange(8, 13))]
+    rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
+    per_candidate = rng.randrange(1, nclasses - 1)
+    return _SearchContext(
+        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
+        fixed=rng.randrange(nclasses), room=[2] * width + [0] * npar + [2],
+        r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=2, per_candidate=per_candidate,
+    )
+
+
+def test_class_count_hits_on_random_contexts():
+    """Random rows give span words of odd weight and unbalanced class counts.
+
+    On the designs in these tests every span word meeting no parallel column
+    has even weight, so only random rows show a hit the parity filter must
+    drop.
+    """
+    rng = random.Random(5)
+    total = 0
+    for nclasses, size, npar, nlimbs in [(6, 3, 2, 1), (10, 7, 3, 2)] * 8:
+        ctx = _random_context(rng, nclasses, size, npar)
+        assert len(_limbs(ctx.basis, ctx.ncols)) == nlimbs
+        expected = _reference_hits(ctx)
+        assert _table_hits(ctx) == expected
+        assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
+        total += len(expected)
+    assert total > 100
+
+
+def test_scan_one_limb_on_planes(monkeypatch):
+    # AG_2(3,2) has 14 search columns, one 64-bit limb; the search is guarded
+    # to (4, 3), so the guard is lifted here only to exercise the scan.
+    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    for block in (0, 5, 13):
+        ctx = _search_context(planes, block, None)
+        assert ctx.ncols <= 64 and len(_span_table(_limbs(ctx.basis, ctx.ncols))) == 1
+        assert _assert_scan_matches(planes, block)
+    result = embedding_search(planes, 0)
+    ctx = _search_context(planes, 0, None)
+    assert result.candidates_examined == comb(len(ctx.class_masks) - 1, ctx.per_candidate)
+    assert [rec.candidate_index for rec in result.records] == [
+        idx for idx, _, _ in _reference_scan(_reference_args(ctx))
+    ]
+    # three candidate ranges, each scanned from its own offset
+    assert embedding_search(planes, 0, workers=3) == result
+
+
+def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
+    dpp = ag34_gb.substructure
+    classes = [list(cls) for cls in ag34_gb.resolution.classes]
+
+    def fails(match, classes=None):
+        res = Resolution(tuple(tuple(c) for c in classes)) if classes is not None else None
+        with pytest.raises(InternalCheckFailed, match=match):
+            _search_context(ag34, 0, res)
+
+    # the removed block's column is zero in every residual row
+    labels = (ag34.blocks[0][0], *dpp.point_labels[1:])
+    moved = IncidenceStructure(dpp.v, dpp.blocks, point_labels=labels)
+    with monkeypatch.context() as m:
+        m.setattr(embedding, "good_block", lambda d, j: dataclasses.replace(ag34_gb, substructure=moved))
+        fails("removed block")
+    # the classes are pairwise disjoint, of one size, on the substructure's columns
+    fails("overlap", [classes[0], [classes[0][0], *classes[1][1:]], *classes[2:]])
+    fails("differ in size", [classes[0][:-1], *classes[1:]])
+    fails("differ in size", [classes[0], [classes[1][0], *classes[1]], *classes[2:]])
+    fails("past the substructure", [classes[0], [*classes[1][:-1], dpp.b], *classes[2:]])
+    fails("no nonempty class", [])
+    # 1 + (per_candidate + 1) * class_size == r fails for classes of 3 blocks
+    fails("union of classes", [range(j, j + 3) for j in range(0, dpp.b - 2, 3)])
+    # the unchanged resolution passes every check
+    assert _search_context(ag34, 0, ag34_gb.resolution).per_candidate == 4
