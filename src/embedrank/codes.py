@@ -15,6 +15,7 @@ environment variable.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
@@ -341,6 +342,9 @@ def codeword_to_hex(word: int, length: int) -> str:
 def codeword_from_hex(text: str, length: int) -> int:
     """Inverse of codeword_to_hex for a word of the given length."""
     text = text.strip()
+    # int(text, 16) alone would also take "0x1f", "f_f", "+f" and non-ASCII digits
+    if not re.fullmatch(r"[0-9a-fA-F]*", text):
+        raise WrongParameters(f"{text!r} is not a string of hex digits")
     value = int(text, 16) if text else 0
     nbits = 4 * len(text)
     if nbits < length:

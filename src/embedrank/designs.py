@@ -504,7 +504,9 @@ def good_block(design: IncidenceStructure, block_idx: int):
         if s_params is None or s_params.k != expect_k or expect_lam is None or s_params.lam != expect_lam:
             return None
 
-    res = residual(design, block_idx, keep_empty=False)
+    # keep_empty aligns the residual with the parent: residual block i is
+    # parent block i, or i + 1 from block_idx on
+    res = residual(design, block_idx, keep_empty=True)
     sub_ids = [i for i, blk in enumerate(res.blocks) if len(blk) == params.k - mu]
     sub = IncidenceStructure(
         res.v, [res.blocks[i] for i in sub_ids],
@@ -512,11 +514,8 @@ def good_block(design: IncidenceStructure, block_idx: int):
         point_labels=res.point_labels,
         block_labels=tuple(res.block_labels[i] for i in sub_ids),
     )
-    by_label = {lab: i for i, lab in enumerate(sub.block_labels)}
-    classes = []
-    for cut in order:
-        cls = tuple(sorted(by_label[j] for j in groups[cut]))
-        classes.append(cls)
+    by_parent = {i + (i >= block_idx): pos for pos, i in enumerate(sub_ids)}
+    classes = [tuple(sorted(by_parent[j] for j in groups[cut])) for cut in order]
     try:
         resolution = make_resolution(sub, classes)
     except WrongParameters:

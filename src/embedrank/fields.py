@@ -25,6 +25,7 @@ from .errors import (
     NoField,
     NonPrimeModulus,
     ReduciblePolynomial,
+    WrongParameters,
     ZeroInverse,
 )
 
@@ -258,4 +259,4 @@ def field_arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
         return spec.neg(a)
     if op == "pow":
         return pow_element(spec, a, b)
-    raise ValueError(f"unknown operation {op!r}")
+    raise WrongParameters(f"unknown operation {op!r}")

@@ -23,12 +23,26 @@ with the stabilizer orbits found by min-label propagation over the
 generators.  The canonical certificate is the canonical relabeling
 serialized as text; two structures are isomorphic iff their certificates
 match byte for byte.
+
+The group order is read off the same search tree, as in nauty (McKay &
+Piperno, "Practical graph isomorphism II", JSC 60, 2014).  Let v_0, v_1, ...
+be the vertices individualized on the path to the first leaf; a graph
+automorphism fixing all of them fixes the (discrete) leaf.  By
+orbit-stabilizer, |Aut| is then the product over d of the length of v_d's
+orbit under the pointwise stabilizer of v_0 .. v_(d-1), and each orbit is
+taken under the found generators that fix v_0 .. v_(d-1).  This is exact
+because the search explores every child of a first-path node whose subtree
+can hold a leaf equivalent to the first leaf, skipping only children in the
+orbit of an explored one.  Each child in v_d's true orbit thus either yields
+a generator mapping it onto v_d or is joined to it by earlier generators.  A
+pruning rule that skipped such a child would make the order silently too
+small; the order tests compare it with independent counts.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -179,6 +193,16 @@ class _Search:
         """The verified generators found so far, one permutation per row."""
         return self._gens[: self.ngens]
 
+    def group_order(self) -> int:
+        """|Aut|: the product of the first path's stabilizer orbit lengths."""
+        order = 1
+        rows = self.gens
+        for v in self.first_prefix:
+            labels = _orbit_labels(rows, self.n)
+            order *= int(np.count_nonzero(labels == labels[v]))
+            rows = rows[rows[:, v] == v]
+        return order
+
     # -- leaf helpers ------------------------------------------------------
 
     def _record_automorphism(self, ref_order, order) -> None:
@@ -316,24 +340,20 @@ class CanonicalCert:
 
 @dataclass
 class PermGroup:
-    """A permutation group on points+blocks given by verified generators."""
+    """A permutation group on points+blocks given by verified generators.
+
+    `size` is the group order, computed once by the labeling search that
+    found the generators (see the module docstring); `order()` returns it.
+    """
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
     n_points: int
+    size: int
     deduplicated: bool = False
-    _order: int | None = field(default=None, repr=False)
 
     def order(self) -> int:
-        if self._order is None:
-            if not self.generators:
-                self._order = 1
-            else:
-                from sympy.combinatorics import Permutation, PermutationGroup
-
-                perms = [Permutation(list(g), size=self.degree) for g in self.generators]
-                self._order = int(PermutationGroup(perms).order())
-        return self._order
+        return self.size
 
     def _orbit_partition(self, lo: int, hi: int) -> list[list[int]]:
         return _orbit_lists(_orbit_labels(self.generators, self.degree), lo, hi)
@@ -420,6 +440,7 @@ def _analyze(design: IncidenceStructure) -> tuple[CanonicalCert, PermGroup]:
         degree=len(adj),
         generators=tuple(map(tuple, search.gens.tolist())),
         n_points=design.v,
+        size=search.group_order(),
         deduplicated=not simple_multiset,
     )
     return cert, group

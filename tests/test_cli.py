@@ -211,6 +211,38 @@ def test_aut_cli(fano_file, k4_file, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def _child_env() -> dict:
+    """Environment for a fresh interpreter that imports the package under test."""
+    package_root = str(Path(embedrank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_group_order_runs_without_sympy(tmp_path):
+    path = tmp_path / "ag32.des"
+    script = (
+        "import sys\n"
+        "from embedrank.cli import run\n"
+        "from embedrank.geometry import ag_design\n"
+        "from embedrank.iso import automorphism_group\n"
+        f"assert run(['gen', 'ag', '3', '2', '2', '-o', {str(path)!r}]) == 0\n"
+        f"assert run(['aut', {str(path)!r}]) == 0\n"
+        "print(automorphism_group(ag_design(3, 2, 2)[0]).order())\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "order 1344"
+    assert lines[-2:] == ["1344", "False"]
+
+
 def test_sym_embed_cli(tmp_path, capsys):
     path = tmp_path / "planes.des"
     out_dir = tmp_path / "found"
@@ -268,15 +300,9 @@ def test_console_script_installed(tmp_path):
         " group='console_scripts').load()\n"
         "sys.exit(main())\n"
     )
-    # The child must import the package under test, not another copy.
-    package_root = str(Path(embedrank.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "--help"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert "embedrank" in proc.stdout

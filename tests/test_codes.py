@@ -343,6 +343,10 @@ def test_hex_round_trip():
         codeword_from_hex("f", 8)  # too short
     with pytest.raises(BadDimension):
         codeword_from_hex("01", 4)  # nonzero padding bits
+    assert codeword_from_hex(" 8F\n", 8) == codeword_from_hex("8f", 8) == 0b11110001
+    for text in ("zz", "\uff11", "0x1f", "f_f", "+f", "-f", "f f", "\u0661"):
+        with pytest.raises(WrongParameters):
+            codeword_from_hex(text, 4)
 
 
 def test_column_code_is_row_code_of_transpose(fano):

@@ -163,6 +163,22 @@ def test_good_block_grid():
             assert good_block(design, j) is not None, (n, q, j)
 
 
+def test_good_block_ignores_block_labels(ag34):
+    # the resolution is over substructure positions, whatever the parent's labels
+    offset = tuple(1000 + j for j in range(ag34.b))
+    for labels in (offset, offset[::-1]):
+        labeled = IncidenceStructure(ag34.v, ag34.blocks, block_labels=labels)
+        for j in (0, 1, 42, ag34.b - 1):
+            want, got = good_block(ag34, j), good_block(labeled, j)
+            assert got.resolution == want.resolution
+            assert got.substructure.blocks == want.substructure.blocks
+            assert got.s.blocks == want.s.blocks
+            assert got.parallel == want.parallel
+            assert got.substructure.block_labels == tuple(
+                labels[i] for i in want.substructure.block_labels
+            )
+
+
 def test_good_block_requires_family(fano, pg34):
     with pytest.raises(WrongParameters):
         good_block(fano, 0)

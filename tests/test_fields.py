@@ -10,6 +10,7 @@ from embedrank.errors import (
     NonPrimeModulus,
     ReduciblePolynomial,
     SpecMismatch,
+    WrongParameters,
     ZeroInverse,
 )
 from embedrank.fields import (
@@ -109,6 +110,8 @@ def test_field_element_sugar():
     other = field_from_order(4)
     with pytest.raises(SpecMismatch):
         spec.element(1) + other.element(1)
+    with pytest.raises(WrongParameters):
+        field_arith(spec, "div", 1, 2)
 
 
 def test_negative_exponent_is_inverse_power():

@@ -95,14 +95,34 @@ def test_classical_group_orders(fano, k4_edges):
 
 def test_group_order_matches_brute_force():
     rng = random.Random(202)
-    for _ in range(12):
-        v = rng.randrange(2, 7)
+    for trial in range(80):
+        v = rng.randrange(1, 8)
         blocks = [
-            tuple(sorted(rng.sample(range(v), rng.randrange(1, v + 1))))
-            for _ in range(rng.randrange(1, 6))
+            tuple(sorted(rng.sample(range(v), rng.randrange(0 if trial % 4 == 0 else 1, v + 1))))
+            for _ in range(rng.randrange(0, 8))
         ]
+        if blocks and trial % 3 == 0:
+            blocks += rng.sample(blocks, rng.randrange(1, len(blocks) + 1))
         d = IncidenceStructure(v, blocks)
-        assert automorphism_group(d).order() == _brute_aut_order(d), d.blocks
+        assert automorphism_group(d).order() == _brute_aut_order(d), (v, d.blocks)
+
+
+def test_group_order_matches_sympy(ag34, e2, dpp_group):
+    # sympy is the test extra's independent oracle; the library never imports it
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    groups = [
+        automorphism_group(_relabel(ag34, random.Random(2))),  # about 200 generators
+        automorphism_group(e2),
+        dpp_group,
+        automorphism_group(pg_design(3, 2, 2)),
+    ]
+    for group in groups:
+        perms = [Permutation(list(g), size=group.degree) for g in group.generators]
+        assert group.order() == PermutationGroup(perms).order()
+    assert [g.order() for g in groups[:3]] == [
+        expected.AUT_ORDER_AG34, expected.AUT_ORDER_E2, expected.AUT_ORDER_DPP,
+    ]
 
 
 def test_generators_permute_blocks(fano):
