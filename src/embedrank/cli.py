@@ -210,7 +210,7 @@ def _cmd_embed_search(args) -> int:
 
 def _cmd_sym_embed(args) -> int:
     design = load_design(args.des)
-    result = sym_embedding_search(design, p=args.p)
+    result = sym_embedding_search(design)
     _print_json(
         {
             "target_params": list(result.target_params),
@@ -552,7 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("sym-embed", help="search symmetric completions")
     se.add_argument("des")
-    se.add_argument("-p", type=int, default=2)
     se.add_argument("--out", help="directory for .des exports of the designs found")
     se.set_defaults(func=_cmd_sym_embed)
 

@@ -8,8 +8,10 @@ uint64 words, XORed with one offset per chunk, with weights from
 `bitwise_count`.  Weight distributions, words of one weight, minimum weights
 and the GF(2) enumeration all read its chunks.  For p > 2 a mixed-radix
 odometer plays the same role.  Full enumeration is capped at 2^28 codewords by
-default; the cap can be overridden per call or through the EMBEDRANK_CAP
-environment variable.
+default.  The EMBEDRANK_CAP environment variable overrides the cap everywhere;
+the functions that enumerate (iter_codewords, weight_distribution,
+codewords_of_weight, min_weight and embedding.parallel_union_codewords) also
+take a per-call `cap`.  Everything built on them reads the default.
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ class DimensionDrop:
     residual_dim: int
 
 
-def hill_newton_holds(code: LinearCode, word, cap: int | None = None) -> DimensionDrop:
+def hill_newton_holds(code: LinearCode, word) -> DimensionDrop:
     """Check the minimum-weight dimension-drop criterion on one codeword.
 
     When wt(word) equals the minimum weight d, the strict inequality
@@ -406,7 +408,7 @@ def hill_newton_holds(code: LinearCode, word, cap: int | None = None) -> Dimensi
         wt = int(word).bit_count()
     else:
         wt = int(np.count_nonzero(np.asarray(word) % code.p))
-    guaranteed = wt == min_weight(code, cap=cap)
+    guaranteed = wt == min_weight(code)
     return DimensionDrop(
         guaranteed=guaranteed,
         drop=code.dim - res.dim,
@@ -533,13 +535,10 @@ def sdp_code(truth_table) -> LinearCode:
     return code
 
 
-def min_weight_design(code: LinearCode, cap: int | None = None) -> IncidenceStructure:
+def min_weight_design(code: LinearCode) -> IncidenceStructure:
     """Blocks are the supports of the minimum-weight codewords."""
     if code.p != 2:
         raise WrongParameters("support designs are implemented over GF(2)")
-    d = min_weight(code, cap=cap)
-    blocks = [
-        tuple(support_from_bitmask(wd))
-        for wd in codewords_of_weight(code, d, cap=cap)
-    ]
+    d = min_weight(code)
+    blocks = [tuple(support_from_bitmask(wd)) for wd in codewords_of_weight(code, d)]
     return IncidenceStructure(code.length, blocks, name=f"minwt({code.length},{code.dim})")

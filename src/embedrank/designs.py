@@ -220,51 +220,44 @@ def _check_block_index(design: IncidenceStructure, idx: int) -> None:
         raise BadIndex(f"block index {idx} outside 0..{design.b - 1}")
 
 
-def residual(design: IncidenceStructure, block_idx: int, keep_empty: bool = False) -> IncidenceStructure:
-    """Points off the chosen block; every other block cut down to them.
+def _restrict(design: IncidenceStructure, block_idx: int, inside: bool, keep_empty: bool) -> IncidenceStructure:
+    """The points on (inside) or off the chosen block; every other block cut down to them.
 
-    Block order is preserved.  Intersection leftovers that are empty are
-    dropped unless keep_empty is set (then they stay as empty blocks so the
-    column count matches the parent design minus one).
+    Block order is preserved.  Cuts that are empty are dropped unless
+    keep_empty is set, which keeps block j of the parent at position
+    j - (j > block_idx).
     """
     _check_block_index(design, block_idx)
-    removed = set(design.blocks[block_idx])
-    new_points = [x for x in range(design.v) if x not in removed]
+    base = set(design.blocks[block_idx])
+    new_points = [x for x in range(design.v) if (x in base) == inside]
     index = {x: i for i, x in enumerate(new_points)}
     blocks, labels = [], []
     for j, blk in enumerate(design.blocks):
         if j == block_idx:
             continue
-        cut = tuple(index[x] for x in blk if x not in removed)
+        cut = tuple(index[x] for x in blk if x in index)
         if cut or keep_empty:
             blocks.append(cut)
             labels.append(design.block_labels[j] if design.block_labels else j)
     return IncidenceStructure(
         len(new_points), blocks,
-        name=f"{design.name or 'design'} residual @{block_idx}",
+        name=f"{design.name or 'design'} {'derived' if inside else 'residual'} @{block_idx}",
         point_labels=tuple(new_points), block_labels=tuple(labels),
     )
+
+
+def residual(design: IncidenceStructure, block_idx: int, keep_empty: bool = False) -> IncidenceStructure:
+    """Points off the chosen block; every other block cut down to them.
+
+    Empty cuts are dropped unless keep_empty is set (then they stay as empty
+    blocks so the column count matches the parent design minus one).
+    """
+    return _restrict(design, block_idx, False, keep_empty)
 
 
 def derived(design: IncidenceStructure, block_idx: int, keep_empty: bool = False) -> IncidenceStructure:
     """Points of the chosen block; every other block intersected with it."""
-    _check_block_index(design, block_idx)
-    base = set(design.blocks[block_idx])
-    new_points = sorted(base)
-    index = {x: i for i, x in enumerate(new_points)}
-    blocks, labels = [], []
-    for j, blk in enumerate(design.blocks):
-        if j == block_idx:
-            continue
-        cut = tuple(index[x] for x in blk if x in base)
-        if cut or keep_empty:
-            blocks.append(cut)
-            labels.append(design.block_labels[j] if design.block_labels else j)
-    return IncidenceStructure(
-        len(new_points), blocks,
-        name=f"{design.name or 'design'} derived @{block_idx}",
-        point_labels=tuple(new_points), block_labels=tuple(labels),
-    )
+    return _restrict(design, block_idx, True, keep_empty)
 
 
 def intersection_profile(design: IncidenceStructure) -> dict[int, int]:
@@ -454,9 +447,6 @@ class GoodBlock:
     mu: int
     block_index: int
 
-    def __iter__(self):
-        return iter((self.s, self.resolution))
-
 
 def good_block(design: IncidenceStructure, block_idx: int):
     """Test Definition-style goodness of a block of an affine resolvable design.
@@ -469,16 +459,14 @@ def good_block(design: IncidenceStructure, block_idx: int):
     _check_block_index(design, block_idx)
     q, n, mu, params, _ = affine_family(design)
 
-    base = set(design.blocks[block_idx])
-    base_sorted = sorted(base)
-    index = {x: i for i, x in enumerate(base_sorted)}
+    # keep_empty aligns both restrictions with the parent: their block i is
+    # parent block i, or i + 1 from block_idx on
+    der = derived(design, block_idx, keep_empty=True)
     groups: dict[tuple[int, ...], list[int]] = {}
     order: list[tuple[int, ...]] = []
     parallel = []
-    for j, blk in enumerate(design.blocks):
-        if j == block_idx:
-            continue
-        cut = tuple(index[x] for x in blk if x in base)
+    for i, cut in enumerate(der.blocks):
+        j = i + (i >= block_idx)
         if not cut:
             parallel.append(j)
             continue
@@ -488,8 +476,8 @@ def good_block(design: IncidenceStructure, block_idx: int):
         groups[cut].append(j)
     if any(len(g) != q for g in groups.values()):
         return None
-    s = IncidenceStructure(len(base_sorted), order, name=f"{design.name or 'design'} cut @{block_idx}",
-                           point_labels=tuple(base_sorted))
+    s = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} cut @{block_idx}",
+                           point_labels=der.point_labels)
     if not is_simple(s):
         return None
     expect_k = params.k // q
@@ -504,8 +492,6 @@ def good_block(design: IncidenceStructure, block_idx: int):
         if s_params is None or s_params.k != expect_k or expect_lam is None or s_params.lam != expect_lam:
             return None
 
-    # keep_empty aligns the residual with the parent: residual block i is
-    # parent block i, or i + 1 from block_idx on
     res = residual(design, block_idx, keep_empty=True)
     sub_ids = [i for i, blk in enumerate(res.blocks) if len(blk) == params.k - mu]
     sub = IncidenceStructure(

@@ -7,6 +7,8 @@ two necessary conditions counting parallel-class-union codewords, a completion
 search that reconstructs every affine resolvable 2-(64,16,5) design containing
 a given residual structure, and the analogous symmetric completion that embeds
 an affine resolvable design into a symmetric one by adding one point class.
+The rank test works over any GF(p); the necessary conditions, the searches and
+the symmetric completion work over GF(2), for designs whose q is a power of 2.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .codes import (
     _words,
     code_from_bitrows,
     code_from_cols,
-    code_from_rows,
     codewords_of_weight,
     min_weight,
 )
 from .designs import (
+    AffineFamily,
     DesignParams,
     IncidenceStructure,
     Resolution,
@@ -50,7 +52,6 @@ from .errors import (
     InternalCheckFailed,
     WrongParameters,
 )
-from .fields import prime_power
 from .iso import canonical_cert
 from .linalg import MatGFp, mat_rank, mat_rref
 
@@ -79,7 +80,7 @@ def embeddability(design: IncidenceStructure, block_idx: int, p: int = 2) -> Emb
     return EmbeddabilityReport(rank_full, rank_res, rank_full == rank_res + 1)
 
 
-def thm1_certify(design: IncidenceStructure, p: int = 2, cap: int | None = None):
+def thm1_certify(design: IncidenceStructure, p: int = 2):
     """Certify blocks whose size equals the column code's minimum weight.
 
     Returns (blockIdx, certified) for every block.  A certified block's
@@ -88,7 +89,7 @@ def thm1_certify(design: IncidenceStructure, p: int = 2, cap: int | None = None)
     theorem, so it raises.
     """
     code = code_from_cols(design.incidence_matrix(p))
-    d = min_weight(code, cap=cap)
+    d = min_weight(code)
     out = []
     for j, blk in enumerate(design.blocks):
         certified = len(blk) == d
@@ -101,9 +102,11 @@ def thm1_certify(design: IncidenceStructure, p: int = 2, cap: int | None = None)
 def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, cap: int | None = None):
     """Weight-w codewords whose support is a union of classes of `resolution`.
 
-    The resolution's classes index coordinates of the code.  Returns the words
-    (as bitmasks over GF(2), as vectors otherwise) in enumeration order.
+    The code is binary and the resolution's classes index its coordinates.
+    Returns the words as bitmasks, in enumeration order.
     """
+    if code.p != 2:
+        raise WrongParameters("parallel-union codewords are implemented over GF(2)")
     masks = []
     seen = 0
     for cls in resolution.classes:
@@ -116,16 +119,9 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
             raise WrongParameters("resolution classes overlap")
         seen |= m
         masks.append(m)
-    if code.p == 2:
-        _check_cap(code, cap)
-        classes = _limbs(masks, code.length)
-        return _weight_words(code.basis_bits, code.length, 0, _nchunks(code), w, classes)
-    out = []
-    for word in codewords_of_weight(code, w, cap=cap):
-        support = sum(1 << int(j) for j in np.flatnonzero(word))
-        if all((support & m) == 0 or (support & m) == m for m in masks):
-            out.append(word)
-    return out
+    _check_cap(code, cap)
+    classes = _limbs(masks, code.length)
+    return _weight_words(code.basis_bits, code.length, 0, _nchunks(code), w, classes)
 
 
 class NecessaryCondition(NamedTuple):
@@ -134,52 +130,50 @@ class NecessaryCondition(NamedTuple):
     passes: bool
 
 
-def thm5_necessary(
-    design: IncidenceStructure,
-    block_idx: int,
-    resolution: Resolution | None = None,
-    p: int | None = None,
-    cap: int | None = None,
-) -> NecessaryCondition:
+def _binary_family(design: IncidenceStructure) -> AffineFamily:
+    """The design's affine family; WrongParameters unless its q is a power of 2."""
+    family = affine_family(design)
+    if family.q & (family.q - 1):
+        raise WrongParameters(f"q = {family.q} is not a power of 2: this is implemented over GF(2)")
+    return family
+
+
+def thm5_necessary(design: IncidenceStructure, block_idx: int) -> NecessaryCondition:
     """Parallel-union codeword count of the residual structure's row code.
 
-    An embedding of the residual with respect to `resolution` forces at least
-    (p-1)*C(q^(n-1), 2) weight-2q^(n-1) codewords supported on unions of
-    parallel classes; fewer rules the resolution out.  Defaults to the
-    resolution induced by the good block.
+    An embedding of the residual with respect to the resolution the good
+    block induces forces at least C(q^(n-1), 2) weight-2q^(n-1) codewords
+    supported on unions of its parallel classes; fewer rules the embedding
+    out.  The count is over GF(2), so q must be a power of 2 and at least 4.
+    For another resolution of the substructure, call
+    parallel_union_codewords directly.
     """
-    q, n, *_ = affine_family(design)
+    q, n, *_ = _binary_family(design)
     if q < 4:
         raise WrongParameters("the necessary condition needs q >= 4")
     gb = good_block(design, block_idx)
     if gb is None:
         raise NotGoodBlock(f"block {block_idx} is not good")
-    if p is None:
-        p, _ = prime_power(q)
-    res = resolution if resolution is not None else gb.resolution
     code = code_from_bitrows(gb.substructure.point_masks(), gb.substructure.b)
-    required = (p - 1) * comb(q ** (n - 1), 2)
-    found = len(parallel_union_codewords(code, res, 2 * q ** (n - 1), cap=cap))
+    required = comb(q ** (n - 1), 2)
+    found = len(parallel_union_codewords(code, gb.resolution, 2 * q ** (n - 1)))
     return NecessaryCondition(required, found, found >= required)
 
 
-def thm_taf_necessary(design: IncidenceStructure, p: int | None = None, cap: int | None = None) -> NecessaryCondition:
+def thm_taf_necessary(design: IncidenceStructure) -> NecessaryCondition:
     """Necessary condition for embedding into a symmetric design.
 
     Counts weight-2q^(n-1) codewords of the design's own row code supported on
     unions of its parallel classes; an embedding forces at least
-    (p-1)*C((q^n-1)/(q-1), 2) of them.
+    C((q^n-1)/(q-1), 2) of them.  The count is over GF(2), so q must be a
+    power of 2 and at least 4.
     """
-    q, n, _, _, resolution = affine_family(design)
+    q, n, _, _, resolution = _binary_family(design)
     if q < 4:
         raise WrongParameters("the necessary condition needs q >= 4")
-    if p is None:
-        p, _ = prime_power(q)
-    if p != 2:
-        raise WrongParameters("only p = 2 instances are supported here")
     code = code_from_bitrows(design.point_masks(), design.b)
-    required = (p - 1) * comb((q**n - 1) // (q - 1), 2)
-    found = len(parallel_union_codewords(code, resolution, 2 * q ** (n - 1), cap=cap))
+    required = comb((q**n - 1) // (q - 1), 2)
+    found = len(parallel_union_codewords(code, resolution, 2 * q ** (n - 1)))
     return NecessaryCondition(required, found, found >= required)
 
 
@@ -537,24 +531,17 @@ def embedding_search(
 # symmetric completions
 
 
-def sym_embedding_code(design: IncidenceStructure, p: int = 2) -> LinearCode:
-    """Code of length b+1 spanned by the bordered rows [A | 0] and all-ones.
+def sym_embedding_code(design: IncidenceStructure) -> LinearCode:
+    """Binary code of length b+1 spanned by the bordered rows [A | 0] and all-ones.
 
     Any symmetric design extending `design` by one point class has all its
     point rows inside this code, because the bordered matrix's column sums
-    are 1 mod p.
+    are 1 mod 2.  That needs q even, so q must be a power of 2.
     """
-    q = affine_family(design).q
-    pq, _ = prime_power(q)
-    if q % p or pq % p:
-        raise WrongParameters(f"p = {p} does not divide q = {q}")
+    _binary_family(design)
     b = design.b
-    if p == 2:
-        rows = design.point_masks() + [(1 << (b + 1)) - 1]
-        return code_from_bitrows(rows, b + 1)
-    mat = design.incidence_matrix(p).to_lists()
-    rows = [row + [0] for row in mat] + [[1] * (b + 1)]
-    return code_from_rows(MatGFp.from_rows(rows, b + 1, p))
+    rows = design.point_masks() + [(1 << (b + 1)) - 1]
+    return code_from_bitrows(rows, b + 1)
 
 
 @dataclass(frozen=True)
@@ -571,22 +558,20 @@ class SymEmbedding:
     target_params: tuple[int, int, int]
 
 
-def sym_embedding_search(design: IncidenceStructure, p: int = 2, cap: int | None = None) -> SymEmbedding:
+def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
     """Try to extend an affine resolvable design to a symmetric one.
 
     New point rows must be weight-k' codewords of sym_embedding_code with the
     last coordinate set, meeting every old row in lam'; a backtracking search
     assembles k' of them with pairwise intersection lam' and column sums k'.
+    Works over GF(2), so the design's q must be a power of 2.
     """
     params = affine_family(design).params
     target = quasi_residual_params(params.v, params.k, params.lam)
     if target is None:
         raise InternalCheckFailed("an affine resolvable design that is not quasi-residual")
     vp, kp, lamp = target
-    code = sym_embedding_code(design, p)
-    if p != 2:
-        raise WrongParameters("only p = 2 symmetric completions are implemented")
-    words = codewords_of_weight(code, kp, cap=cap)
+    words = codewords_of_weight(sym_embedding_code(design), kp)
     weight_count = len(words)
     b = design.b
     old_rows = design.point_masks()

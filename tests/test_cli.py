@@ -243,6 +243,25 @@ def test_group_order_runs_without_sympy(tmp_path):
     assert lines[-2:] == ["1344", "False"]
 
 
+FAST_DEMOS = [
+    ("good_block_structure.py", "necessary condition passes"),
+    ("symmetric_completions.py", "completions 1 (= PG_2(3,4))"),
+    ("ranks_and_distributions.py", "row code [80,15], weight distribution:"),
+]
+
+
+@pytest.mark.parametrize("script, line", FAST_DEMOS, ids=[d[0] for d in FAST_DEMOS])
+def test_fast_demo_runs(tmp_path, script, line):
+    # search_completions.py is left out: it runs stage 1 of the search
+    demo = Path(__file__).resolve().parents[1] / "demos" / script
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout
+
+
 def test_sym_embed_cli(tmp_path, capsys):
     path = tmp_path / "planes.des"
     out_dir = tmp_path / "found"

@@ -152,8 +152,6 @@ def test_good_block_structure(ag34_gb):
     assert set(gb.substructure.block_sizes()) == {12}
     assert gb.resolution.num_classes == 20 and gb.resolution.class_size == 4
     assert len(gb.parallel) == 3
-    s, res = gb  # tuple view
-    assert s is gb.s and res is gb.resolution
 
 
 def test_good_block_grid():

@@ -15,8 +15,12 @@ from embedrank.codes import (
     _words,
     code_from_bitrows,
     code_from_cols,
+    code_from_rows,
     codewords_of_weight,
+    hill_newton_holds,
     min_weight,
+    min_weight_design,
+    rm_code,
 )
 from embedrank.designs import (
     IncidenceStructure,
@@ -48,6 +52,7 @@ from embedrank.embedding import (
 )
 from embedrank.errors import (
     BadIndex,
+    CapExceeded,
     InfeasibleInstance,
     InternalCheckFailed,
     NotGoodBlock,
@@ -168,8 +173,40 @@ def test_sym_embedding_code_dimension(ag34):
     for row in ag34.point_masks():
         assert code.contains(row)
     assert code.contains((1 << (ag34.b + 1)) - 1)
+
+
+def test_parallel_union_conditions_need_binary_q(k4_edges):
+    # the counts and the symmetric completion are over GF(2): q must be a power of 2
+    ag35, _ = ag_design(3, 5, 2)
+    ag33, _ = ag_design(3, 3, 2)
     with pytest.raises(WrongParameters):
-        sym_embedding_code(ag34, p=3)
+        thm5_necessary(ag35, 0)
+    with pytest.raises(WrongParameters):
+        thm_taf_necessary(ag35)
+    with pytest.raises(WrongParameters):
+        sym_embedding_search(ag33)
+    with pytest.raises(WrongParameters):
+        sym_embedding_code(ag33)
+    res = make_resolution(k4_edges, [(0, 5), (1, 4), (2, 3)])
+    with pytest.raises(WrongParameters):
+        parallel_union_codewords(code_from_rows(k4_edges.incidence_matrix(3)), res, 4)
+
+
+def test_cap_binds_without_a_cap_argument(monkeypatch, ag34):
+    monkeypatch.setenv("EMBEDRANK_CAP", "100")
+    rm24 = rm_code(2, 4)  # 2^11 words
+    with pytest.raises(CapExceeded):
+        thm5_necessary(ag34, 0)
+    with pytest.raises(CapExceeded):
+        thm_taf_necessary(ag34)
+    with pytest.raises(CapExceeded):
+        sym_embedding_search(ag34)
+    with pytest.raises(CapExceeded):
+        hill_newton_holds(rm24, rm24.basis_bits[0])
+    with pytest.raises(CapExceeded):
+        min_weight_design(rm24)
+    with pytest.raises(CapExceeded):
+        thm1_certify(ag34)  # column code of 2^16 words
 
 
 def test_sym_embedding_small_case():
