@@ -9,7 +9,7 @@ a stored computation and diffs it against the frozen values in `expected`.
 
 Usage errors exit 2 (argparse).  Computation errors exit 1 and print a JSON
 object {"error": <class>, "message": <text>} on stderr.  All output is
-deterministic; `--workers` only changes wall time.
+deterministic; `--workers` (at least 1) only changes wall time.
 """
 
 from __future__ import annotations
@@ -581,6 +581,8 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise WrongParameters(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except EmbedrankError as exc:
         _error_json(type(exc).__name__, str(exc))

@@ -219,20 +219,17 @@ def _weight_words(
 def _gf2_parts(fn, code: LinearCode, workers: int, *args) -> list:
     """fn(basis, length, start, stop, *args) over the whole walk.
 
-    With workers > 1 and more than one chunk, the chunks are split into equal
-    consecutive ranges, one per forked worker, and the parts come back in walk
-    order.
+    With workers > 1 and more than one chunk, the chunks are split into
+    min(workers, chunks) equal consecutive ranges, one per forked worker, and
+    the parts come back in walk order.
     """
     total = _nchunks(code)
-    if workers <= 1 or total == 1:
+    nparts = min(workers, total)
+    if nparts <= 1:
         return [fn(code.basis_bits, code.length, 0, total, *args)]
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [
-        (code.basis_bits, code.length, bounds[i], bounds[i + 1], *args)
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with get_context("fork").Pool(workers) as pool:
+    bounds = [total * i // nparts for i in range(nparts + 1)]
+    jobs = [(code.basis_bits, code.length, bounds[i], bounds[i + 1], *args) for i in range(nparts)]
+    with get_context("fork").Pool(nparts) as pool:
         return pool.starmap(fn, jobs)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from multiprocessing import get_context
 from typing import NamedTuple
@@ -215,13 +216,88 @@ class EmbeddingSearchResult:
     records: tuple[CandidateRecord, ...]
 
 
-class _SearchContext(NamedTuple):
-    """The residual matrix and the numbers the search derives from the parent.
+class _BlockContext(NamedTuple):
+    """What the search reads of a good block; built once per (design, block).
 
-    rows          residual point rows over substructure, parallel and removed columns
+    rows        residual point rows over substructure, parallel and removed columns
+    basis       the RREF basis of `rows`
+    room        per column, the parent's k minus the column sum of `rows`
+    free        limb-major uint64 columns (read-only), in Gray-walk order: the
+                span words of `rows` that meet no parallel column
+    width       the substructure's block count: the columns the classes index
+    least_block the substructure's lexicographically least block
+    resolution  the resolution the good block induces on the substructure
+    """
+
+    params: DesignParams
+    ncols: int
+    rows: tuple[int, ...]
+    basis: tuple[int, ...]
+    room: tuple[int, ...]
+    free: np.ndarray
+    width: int
+    least_block: int
+    resolution: Resolution
+
+
+@lru_cache(maxsize=128)
+def _block_context(design: IncidenceStructure, block_idx: int, sizes: tuple[int, int]) -> _BlockContext:
+    """The good block's search facts, checked; `sizes` is the guard in force.
+
+    Cached, like affine_family, on the design's points and blocks: nothing
+    here depends on its names or labels.  The guard is part of the key, so a
+    context built under another guard is never returned.  Failed checks
+    raise and cache nothing.
+    """
+    gb = good_block(design, block_idx)
+    if gb is None:
+        raise NotGoodBlock(f"block {block_idx} is not good")
+    if (gb.q, gb.n) != sizes:
+        raise InfeasibleInstance(
+            f"completion search is guarded to the (q, n) = {sizes} sizes, got ({gb.q}, {gb.n})"
+        )
+    params = affine_family(design).params
+    dpp = gb.substructure
+    ncols = dpp.b + len(gb.parallel) + 1
+    if ncols > 128:
+        raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
+    # A premise of the scan's class-count identity (see _hit_matrix).
+    removed = set(design.blocks[block_idx])
+    if any(x in removed for x in dpp.point_labels):
+        raise InternalCheckFailed("a residual row meets the removed block")
+    par_blocks = [set(design.blocks[j]) for j in gb.parallel]
+    rows = tuple(
+        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
+        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
+    )
+    room = tuple(_room(rows, ncols, params.k))
+    if sum(room) != params.k * params.r:
+        raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
+    rref, _ = mat_rref(MatGFp.from_bitrows(list(rows), ncols))
+    free = _free_words(rref.bits, ncols, room)
+    free.flags.writeable = False
+    return _BlockContext(
+        params=params, ncols=ncols, rows=rows, basis=tuple(rref.bits), room=room, free=free,
+        width=dpp.b, least_block=min(range(dpp.b), key=lambda j: dpp.blocks[j]),
+        resolution=gb.resolution,
+    )
+
+
+def _free_words(basis, ncols: int, room) -> np.ndarray:
+    """The span words of `basis` that meet no parallel column (room 0), limb-major, in Gray-walk order."""
+    span = _span_table(_limbs(basis, ncols))
+    par = _limbs([sum(1 << j for j, c in enumerate(room) if c == 0)], ncols)
+    keep = np.ones(span.shape[1], dtype=bool)
+    for limb, mask in zip(span, par[:, 0]):
+        keep &= (limb & mask) == 0
+    return span[:, keep]
+
+
+class _SearchContext(NamedTuple):
+    """One search: the block's facts (see _BlockContext) and the resolution's.
+
     class_masks   the resolution's classes over the substructure columns
     fixed         the class every candidate covers: the one with the least block
-    room          per column, the parent's k minus the column sum of `rows`
     r, lam        a new row's weight and its intersection with every other row
     need          new rows to add: the parent's k, the points of the good block
     per_candidate parallel classes a candidate's support covers beside `fixed`
@@ -229,11 +305,12 @@ class _SearchContext(NamedTuple):
 
     params: DesignParams
     ncols: int
-    rows: list[int]
-    basis: list[int]
+    rows: tuple[int, ...]
+    basis: tuple[int, ...]
+    free: np.ndarray
     class_masks: list[int]
     fixed: int
-    room: list[int]
+    room: tuple[int, ...]
     r: int
     lam: int
     need: int
@@ -243,43 +320,19 @@ class _SearchContext(NamedTuple):
 def _search_context(
     design: IncidenceStructure, block_idx: int, resolution: Resolution | None
 ) -> _SearchContext:
-    gb = good_block(design, block_idx)
-    if gb is None:
-        raise NotGoodBlock(f"block {block_idx} is not good")
-    if (gb.q, gb.n) != _SEARCH_SIZES:
-        raise InfeasibleInstance(
-            f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({gb.q}, {gb.n})"
-        )
-    params = affine_family(design).params
-    dpp = gb.substructure
-    res = resolution if resolution is not None else gb.resolution
-    ncols = dpp.b + len(gb.parallel) + 1
-    if ncols > 128:
-        raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
-    # The premises of the scan's class-count identity (see _hits).
-    removed = set(design.blocks[block_idx])
-    if any(x in removed for x in dpp.point_labels):
-        raise InternalCheckFailed("a residual row meets the removed block")
-    class_masks = _class_masks(res, dpp.b)
+    blk = _block_context(design, block_idx, _SEARCH_SIZES)
+    params = blk.params
+    res = resolution if resolution is not None else blk.resolution
+    class_masks = _class_masks(res, blk.width)
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
-    par_blocks = [set(design.blocks[j]) for j in gb.parallel]
-    rows = [
-        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
-        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
-    ]
-    room = _room(rows, ncols, params.k)
-    if sum(room) != params.k * params.r:
-        raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
-    rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
-    fixed = next((c for c, cls in enumerate(res.classes) if least_block in cls), None)
+    fixed = next((c for c, cls in enumerate(res.classes) if blk.least_block in cls), None)
     if fixed is None:
         raise InternalCheckFailed("no parallel class holds the least substructure block")
     return _SearchContext(
-        params=params, ncols=ncols, rows=rows, basis=rref.bits,
-        class_masks=class_masks, fixed=fixed, room=room,
+        params=params, ncols=blk.ncols, rows=blk.rows, basis=blk.basis, free=blk.free,
+        class_masks=class_masks, fixed=fixed, room=blk.room,
         r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
 
@@ -384,13 +437,7 @@ def _popcount(cols: np.ndarray) -> np.ndarray:
 
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
     """The span words that meet no parallel column and can weigh r under some candidate."""
-    span = _span_table(_limbs(ctx.basis, ctx.ncols))
-    par = _limbs([sum(1 << j for j, c in enumerate(ctx.room) if c == 0)], ctx.ncols)
-    keep = np.ones(span.shape[1], dtype=bool)
-    for limb, mask in zip(span, par[:, 0]):
-        keep &= (limb & mask) == 0
-    words = span[:, keep]
-    del span  # the full span is the search's largest array; free it before the counts
+    words = ctx.free
     counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
     for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
         counts[c] = _popcount(words & mask[:, None])
@@ -402,16 +449,15 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     return _ScanTable(words[:, ok], counts[:, ok], target[ok])
 
 
-def _hits(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-r words s ^ y for the candidates whose other classes are the rows of `idx`.
+def _hit_matrix(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which words s ^ y weigh r, for the candidates whose other classes are the rows of `idx`.
 
     Candidate y is the last coordinate plus the fixed class plus the classes
     in its row of `idx`.  No span word s meets the last column and the classes
     are disjoint, so |s ^ y| = |s| + r - 2 * (sum over y's classes of
     |s & class|): s ^ y weighs r exactly when the counts of y's other classes
-    on s sum to table.target.  Returns the candidate (row of `idx`) of every
-    hit and the hit words as limb-major columns, candidate by candidate, each
-    candidate's in Gray-walk order.
+    on s sum to table.target.  Returns hit[i, j], whether table.words[:, j]
+    ^ y_i weighs r, and the candidates' rows y as limb-major columns.
     """
     class_cols = _limbs(ctx.class_masks, ctx.ncols)
     base = _limbs([1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]], ctx.ncols)
@@ -420,15 +466,29 @@ def _hits(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.n
     for col in idx.T:
         sums += table.counts[col]
         ys |= class_cols[:, col]
-    cand, pos = np.nonzero(sums == table.target)
+    return sums == table.target, ys
+
+
+def _expand(
+    table: _ScanTable, hit: np.ndarray, ys: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hit words of the candidates `rows` of `hit`: each hit's candidate and its word.
+
+    Words are limb-major columns, candidate by candidate, each candidate's in
+    Gray-walk order.
+    """
+    cand, pos = np.nonzero(hit[rows])
+    cand = rows[cand]
     return cand, table.words[:, pos] ^ ys[:, cand]
 
 
 def _scan_range(args):
     """The viable candidates among start .. stop - 1, as (index, classes, solutions).
 
-    A candidate's hits (see `_hits`) that meet every old row in lambda are its
-    rows for `_fill`; it is viable when `_fill` finds a completion among them.
+    A candidate's hits (see `_hit_matrix`) that meet every old row in lambda
+    are its rows for `_fill`; it is viable when `_fill` finds a completion
+    among them.  The lambda test only removes hits, so a candidate with fewer
+    than `need` hits cannot be viable: only the others are expanded and tested.
     """
     start, stop, ctx, table = args
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
@@ -439,7 +499,11 @@ def _scan_range(args):
         n = min(_SCAN_CHUNK, stop - first)
         flat = itertools.chain.from_iterable(itertools.islice(combos, n))
         idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
-        cand, hits = _hits(ctx, table, idx)
+        hit, ys = _hit_matrix(ctx, table, idx)
+        counted = np.flatnonzero(np.count_nonzero(hit, axis=1) >= ctx.need)
+        if not len(counted):
+            continue
+        cand, hits = _expand(table, hit, ys, counted)
         ok = np.ones(len(cand), dtype=bool)
         for row in row_cols.T:
             ok &= _popcount(hits & row[:, None]) == ctx.lam
@@ -476,17 +540,25 @@ def embedding_search(
     y into the whole span.  Those words meeting every old row in lambda are
     searched for k rows with pairwise intersection lambda that bring every
     column sum to k, which is exactly a completion to a design with the
-    parent's parameters.  Designs are deduplicated per
+    parent's parameters.  The scan counts first: the lambda test only removes
+    words, so only candidates with at least k weight-r words have them built
+    and tested.  The residual matrix, its span words and the block's checks
+    are built once per (design, block) and cached; the resolution's classes
+    are checked per search.  Designs are deduplicated per
     candidate by canonical form and classified into isomorphism classes
     across candidates.  Only the `_SEARCH_SIZES` instances are searched.
+    With workers > 1 the candidates are split into min(workers, candidates)
+    consecutive ranges, one forked process each; the output does not change.
     """
     ctx = _search_context(design, block_idx, resolution)
     examined = comb(len(ctx.class_masks) - 1, ctx.per_candidate)
     table = _scan_table(ctx)
-    if workers > 1:
-        bounds = [examined * i // workers for i in range(workers + 1)]
-        chunks = [(bounds[i], bounds[i + 1], ctx, table) for i in range(workers)]
-        with get_context("fork").Pool(workers) as pool:
+    # One process per nonempty range: never more than there are candidates.
+    nparts = min(workers, examined)
+    if nparts > 1:
+        bounds = [examined * i // nparts for i in range(nparts + 1)]
+        chunks = [(bounds[i], bounds[i + 1], ctx, table) for i in range(nparts)]
+        with get_context("fork").Pool(nparts) as pool:
             parts = pool.map(_scan_range, chunks)
         found = [hit for part in parts for hit in part]
     else:

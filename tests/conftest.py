@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from embedrank import codes, embedding
 from embedrank.designs import IncidenceStructure, good_block, parse_des, resolutions
 from embedrank.embedding import embedding_search
 from embedrank.geometry import ag_design, pg_design
@@ -25,6 +26,37 @@ FANO_BLOCKS = (
     (1, 5, 6),
     (0, 2, 6),
 )
+
+
+class _InlinePool:
+    """Stands in for a process pool: runs its jobs here, in order."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+    def starmap(self, fn, jobs):
+        return [fn(*job) for job in jobs]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool the walks and searches ask for; none starts a process."""
+    sizes = []
+
+    class Context:
+        def Pool(self, n):
+            sizes.append(n)
+            return _InlinePool()
+
+    for module in (codes, embedding):
+        monkeypatch.setattr(module, "get_context", lambda method: Context())
+    return sizes
 
 
 @pytest.fixture(scope="session")

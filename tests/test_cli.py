@@ -65,6 +65,23 @@ def test_bad_cap_env_exits_one(fano_file, monkeypatch, capsys):
     assert "EMBEDRANK_CAP" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wdist", "{des}", "--rows", "--workers", "0"],
+        ["embed-search", "{des}", "0", "--workers", "-1"],
+        ["reproduce", "section5", "--workers", "0"],
+    ],
+)
+def test_workers_below_one_exit_one(fano_file, capsys, argv):
+    assert run([arg.format(des=fano_file) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "WrongParameters"
+    assert "--workers" in err["message"]
+
+
 MALFORMED_DESIGNS = [
     ("header.des", b"x 2\n0 1\n1 2\n", "WrongParameters"),
     ("letter.des", b"3 1\n0 z\n", "WrongParameters"),

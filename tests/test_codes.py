@@ -11,6 +11,7 @@ import pytest
 import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
+    _nchunks,
     bent_quadratic,
     code_from_cols,
     code_from_bitrows,
@@ -266,6 +267,17 @@ def test_codewords_of_weight_workers_agree():
     wd1 = weight_distribution(code)
     wd3 = weight_distribution(code, workers=3)
     assert wd1.counts == wd3.counts
+
+
+def test_workers_start_one_process_per_range(pool_sizes):
+    code = rm_code(2, 5)
+    assert _nchunks(code) == 16
+    single = codewords_of_weight(code, 8)
+    counts = weight_distribution(code).counts
+    for workers in (0, -3, 3, 16, 10**9):
+        assert codewords_of_weight(code, 8, workers=workers) == single
+        assert weight_distribution(code, workers=workers).counts == counts
+    assert pool_sizes == [3, 3, 16, 16, 16, 16]
 
 
 def _gray_walk(rows):

@@ -33,8 +33,11 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
+    _block_context,
+    _expand,
     _fill,
-    _hits,
+    _free_words,
+    _hit_matrix,
     _room,
     _scan_range,
     _scan_table,
@@ -449,12 +452,15 @@ def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_r
 
 
 def _table_hits(ctx):
+    """(candidate, word) for every hit of every candidate, expanded without the count gate."""
     idx = np.array(_combos(ctx), dtype=np.int8).reshape(-1, ctx.per_candidate)
-    cand, words = _hits(ctx, _scan_table(ctx), idx)
+    table = _scan_table(ctx)
+    hit, ys = _hit_matrix(ctx, table, idx)
+    cand, words = _expand(table, hit, ys, np.arange(len(idx)))
     return list(zip(cand.tolist(), _words(words)))
 
 
-def _random_context(rng, nclasses, size, npar):
+def _random_context(rng, nclasses, size, npar, need=2):
     """Random rows over shuffled class columns, then `npar` parallel columns and the removed block's."""
     width = nclasses * size
     ncols = width + npar + 1
@@ -463,11 +469,13 @@ def _random_context(rng, nclasses, size, npar):
     class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
     rows = [rng.getrandbits(width + npar) for _ in range(rng.randrange(8, 13))]
     rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
+    room = [2] * width + [0] * npar + [2]
     per_candidate = rng.randrange(1, nclasses - 1)
     return _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
-        fixed=rng.randrange(nclasses), room=[2] * width + [0] * npar + [2],
-        r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=2, per_candidate=per_candidate,
+        params=None, ncols=ncols, rows=rows, basis=rref.bits,
+        free=_free_words(rref.bits, ncols, room), class_masks=class_masks,
+        fixed=rng.randrange(nclasses), room=room,
+        r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=need, per_candidate=per_candidate,
     )
 
 
@@ -490,6 +498,64 @@ def test_class_count_hits_on_random_contexts():
     assert total > 100
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to embedding.<name>, then make the call."""
+    calls = []
+    fn = getattr(embedding, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(embedding, name, spy)
+    return calls
+
+
+def test_count_gate_is_exact_at_its_boundary(monkeypatch):
+    """The scan expands exactly the candidates with at least `need` weight-r words.
+
+    The lambda test only removes words, so no candidate below the gate can be
+    viable; one at the gate must still be expanded.
+    """
+    rng = random.Random(13)
+    for need in (1, 2, 3, 4):
+        at_gate = below_gate = 0
+        for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 8:
+            ctx = _random_context(rng, nclasses, size, npar, need)
+            assert len(_combos(ctx)) <= embedding._SCAN_CHUNK  # one chunk: rows are candidate indices
+            counts = [0] * len(_combos(ctx))
+            for i, _ in _reference_hits(ctx):
+                counts[i] += 1
+            with monkeypatch.context() as m:
+                expanded = _spy(m, "_expand")
+                assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
+            rows = [i for _, _, _, cands in expanded for i in cands.tolist()]
+            assert rows == [i for i, c in enumerate(counts) if c >= need]
+            at_gate += counts.count(need)
+            below_gate += counts.count(need - 1)
+        assert at_gate
+        # the zero span word leaves y itself a hit, so no candidate has none
+        assert below_gate if need > 1 else below_gate == 0
+
+
+def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
+    """No candidate of a non-good resolution has `need` hits: none is expanded or lambda-tested."""
+    for res in _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions):
+        ctx = _search_context(ag34, 0, res)
+        table = _scan_table(ctx)
+        with monkeypatch.context() as m:
+            expanded = _spy(m, "_expand")
+            popcounts = _spy(m, "_popcount")
+            filled = _spy(m, "_fill")
+            assert _scan_range((0, 3876, ctx, table)) == []
+        assert (expanded, popcounts, filled) == ([], [], [])
+    ctx = _search_context(ag34, 0, None)
+    with monkeypatch.context() as m:
+        filled = _spy(m, "_fill")
+        assert len(_scan_range((0, 3876, ctx, _scan_table(ctx)))) == 16
+    assert len(filled) == 16
+
+
 def test_scan_one_limb_on_planes(monkeypatch):
     # AG_2(3,2) has 14 search columns, one 64-bit limb; the search is guarded
     # to (4, 3), so the guard is lifted here only to exercise the scan.
@@ -509,7 +575,44 @@ def test_scan_one_limb_on_planes(monkeypatch):
     assert embedding_search(planes, 0, workers=3) == result
 
 
+def test_block_context_cached_by_points_and_blocks(monkeypatch):
+    planes, _ = ag_design(3, 2, 2)
+    a = IncidenceStructure(planes.v, planes.blocks, name="a", block_labels=range(planes.b))
+    b = IncidenceStructure(planes.v, planes.blocks, name="b", block_labels=reversed(range(planes.b)))
+    results = []
+    with monkeypatch.context() as m:
+        m.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+        for first, second in ((a, b), (b, a)):
+            _block_context.cache_clear()
+            results += [embedding_search(first, 0), embedding_search(second, 0)]
+            assert (_block_context.cache_info().hits, _block_context.cache_info().misses) == (1, 1)
+        blk = _block_context(a, 0, (2, 3))
+        ctx = _search_context(b, 0, None)
+    assert results[0].records and all(r == results[0] for r in results)
+    for arr in (blk.free, ctx.free):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    # the context cached under the lifted guard is not returned under the real one
+    with pytest.raises(InfeasibleInstance):
+        embedding_search(a, 0)
+
+
+def test_workers_start_one_process_per_range(monkeypatch, pool_sizes):
+    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    single = embedding_search(planes, 0)
+    examined = single.candidates_examined
+    assert examined == 10 and pool_sizes == []
+    for workers in (0, -3, 3, examined, 10**9):
+        assert embedding_search(planes, 0, workers=workers) == single
+    assert pool_sizes == [3, examined, examined]
+
+
 def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
+    # the block's checks run when its context is built, and a cached one is
+    # not rebuilt from the patched good_block below
+    _block_context.cache_clear()
     dpp = ag34_gb.substructure
     classes = [list(cls) for cls in ag34_gb.resolution.classes]
 
