@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from multiprocessing import get_context
 from typing import NamedTuple
@@ -216,88 +215,13 @@ class EmbeddingSearchResult:
     records: tuple[CandidateRecord, ...]
 
 
-class _BlockContext(NamedTuple):
-    """What the search reads of a good block; built once per (design, block).
-
-    rows        residual point rows over substructure, parallel and removed columns
-    basis       the RREF basis of `rows`
-    room        per column, the parent's k minus the column sum of `rows`
-    free        limb-major uint64 columns (read-only), in Gray-walk order: the
-                span words of `rows` that meet no parallel column
-    width       the substructure's block count: the columns the classes index
-    least_block the substructure's lexicographically least block
-    resolution  the resolution the good block induces on the substructure
-    """
-
-    params: DesignParams
-    ncols: int
-    rows: tuple[int, ...]
-    basis: tuple[int, ...]
-    room: tuple[int, ...]
-    free: np.ndarray
-    width: int
-    least_block: int
-    resolution: Resolution
-
-
-@lru_cache(maxsize=128)
-def _block_context(design: IncidenceStructure, block_idx: int, sizes: tuple[int, int]) -> _BlockContext:
-    """The good block's search facts, checked; `sizes` is the guard in force.
-
-    Cached, like affine_family, on the design's points and blocks: nothing
-    here depends on its names or labels.  The guard is part of the key, so a
-    context built under another guard is never returned.  Failed checks
-    raise and cache nothing.
-    """
-    gb = good_block(design, block_idx)
-    if gb is None:
-        raise NotGoodBlock(f"block {block_idx} is not good")
-    if (gb.q, gb.n) != sizes:
-        raise InfeasibleInstance(
-            f"completion search is guarded to the (q, n) = {sizes} sizes, got ({gb.q}, {gb.n})"
-        )
-    params = affine_family(design).params
-    dpp = gb.substructure
-    ncols = dpp.b + len(gb.parallel) + 1
-    if ncols > 128:
-        raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
-    # A premise of the scan's class-count identity (see _hit_matrix).
-    removed = set(design.blocks[block_idx])
-    if any(x in removed for x in dpp.point_labels):
-        raise InternalCheckFailed("a residual row meets the removed block")
-    par_blocks = [set(design.blocks[j]) for j in gb.parallel]
-    rows = tuple(
-        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
-        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
-    )
-    room = tuple(_room(rows, ncols, params.k))
-    if sum(room) != params.k * params.r:
-        raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
-    rref, _ = mat_rref(MatGFp.from_bitrows(list(rows), ncols))
-    free = _free_words(rref.bits, ncols, room)
-    free.flags.writeable = False
-    return _BlockContext(
-        params=params, ncols=ncols, rows=rows, basis=tuple(rref.bits), room=room, free=free,
-        width=dpp.b, least_block=min(range(dpp.b), key=lambda j: dpp.blocks[j]),
-        resolution=gb.resolution,
-    )
-
-
-def _free_words(basis, ncols: int, room) -> np.ndarray:
-    """The span words of `basis` that meet no parallel column (room 0), limb-major, in Gray-walk order."""
-    span = _span_table(_limbs(basis, ncols))
-    par = _limbs([sum(1 << j for j, c in enumerate(room) if c == 0)], ncols)
-    keep = np.ones(span.shape[1], dtype=bool)
-    for limb, mask in zip(span, par[:, 0]):
-        keep &= (limb & mask) == 0
-    return span[:, keep]
-
-
 class _SearchContext(NamedTuple):
-    """One search: the block's facts (see _BlockContext) and the resolution's.
+    """The residual matrix and the numbers the search derives from the parent.
 
+    rows          residual point rows over substructure, parallel and removed columns
     class_masks   the resolution's classes over the substructure columns
     fixed         the class every candidate covers: the one with the least block
+    room          per column, the parent's k minus the column sum of `rows`
     r, lam        a new row's weight and its intersection with every other row
     need          new rows to add: the parent's k, the points of the good block
     per_candidate parallel classes a candidate's support covers beside `fixed`
@@ -305,12 +229,11 @@ class _SearchContext(NamedTuple):
 
     params: DesignParams
     ncols: int
-    rows: tuple[int, ...]
-    basis: tuple[int, ...]
-    free: np.ndarray
+    rows: list[int]
+    basis: list[int]
     class_masks: list[int]
     fixed: int
-    room: tuple[int, ...]
+    room: list[int]
     r: int
     lam: int
     need: int
@@ -320,19 +243,43 @@ class _SearchContext(NamedTuple):
 def _search_context(
     design: IncidenceStructure, block_idx: int, resolution: Resolution | None
 ) -> _SearchContext:
-    blk = _block_context(design, block_idx, _SEARCH_SIZES)
-    params = blk.params
-    res = resolution if resolution is not None else blk.resolution
-    class_masks = _class_masks(res, blk.width)
+    gb = good_block(design, block_idx)
+    if gb is None:
+        raise NotGoodBlock(f"block {block_idx} is not good")
+    if (gb.q, gb.n) != _SEARCH_SIZES:
+        raise InfeasibleInstance(
+            f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({gb.q}, {gb.n})"
+        )
+    params = affine_family(design).params
+    dpp = gb.substructure
+    res = resolution if resolution is not None else gb.resolution
+    ncols = dpp.b + len(gb.parallel) + 1
+    if ncols > 128:
+        raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
+    # The premises of the scan's class-count identity (see _hit_matrix).
+    removed = set(design.blocks[block_idx])
+    if any(x in removed for x in dpp.point_labels):
+        raise InternalCheckFailed("a residual row meets the removed block")
+    class_masks = _class_masks(res, dpp.b)
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
-    fixed = next((c for c, cls in enumerate(res.classes) if blk.least_block in cls), None)
+    par_blocks = [set(design.blocks[j]) for j in gb.parallel]
+    rows = [
+        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
+        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
+    ]
+    room = _room(rows, ncols, params.k)
+    if sum(room) != params.k * params.r:
+        raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
+    rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
+    least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
+    fixed = next((c for c, cls in enumerate(res.classes) if least_block in cls), None)
     if fixed is None:
         raise InternalCheckFailed("no parallel class holds the least substructure block")
     return _SearchContext(
-        params=params, ncols=blk.ncols, rows=blk.rows, basis=blk.basis, free=blk.free,
-        class_masks=class_masks, fixed=fixed, room=blk.room,
+        params=params, ncols=ncols, rows=rows, basis=rref.bits,
+        class_masks=class_masks, fixed=fixed, room=room,
         r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
 
@@ -437,7 +384,13 @@ def _popcount(cols: np.ndarray) -> np.ndarray:
 
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
     """The span words that meet no parallel column and can weigh r under some candidate."""
-    words = ctx.free
+    span = _span_table(_limbs(ctx.basis, ctx.ncols))
+    par = _limbs([sum(1 << j for j, c in enumerate(ctx.room) if c == 0)], ctx.ncols)
+    keep = np.ones(span.shape[1], dtype=bool)
+    for limb, mask in zip(span, par[:, 0]):
+        keep &= (limb & mask) == 0
+    words = span[:, keep]
+    del span  # the full span is the search's largest array; free it before the counts
     counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
     for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
         counts[c] = _popcount(words & mask[:, None])
@@ -542,9 +495,7 @@ def embedding_search(
     column sum to k, which is exactly a completion to a design with the
     parent's parameters.  The scan counts first: the lambda test only removes
     words, so only candidates with at least k weight-r words have them built
-    and tested.  The residual matrix, its span words and the block's checks
-    are built once per (design, block) and cached; the resolution's classes
-    are checked per search.  Designs are deduplicated per
+    and tested.  Designs are deduplicated per
     candidate by canonical form and classified into isomorphism classes
     across candidates.  Only the `_SEARCH_SIZES` instances are searched.
     With workers > 1 the candidates are split into min(workers, candidates)

@@ -33,10 +33,8 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
-    _block_context,
     _expand,
     _fill,
-    _free_words,
     _hit_matrix,
     _room,
     _scan_range,
@@ -469,12 +467,10 @@ def _random_context(rng, nclasses, size, npar, need=2):
     class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
     rows = [rng.getrandbits(width + npar) for _ in range(rng.randrange(8, 13))]
     rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    room = [2] * width + [0] * npar + [2]
     per_candidate = rng.randrange(1, nclasses - 1)
     return _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits,
-        free=_free_words(rref.bits, ncols, room), class_masks=class_masks,
-        fixed=rng.randrange(nclasses), room=room,
+        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
+        fixed=rng.randrange(nclasses), room=[2] * width + [0] * npar + [2],
         r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=need, per_candidate=per_candidate,
     )
 
@@ -575,29 +571,6 @@ def test_scan_one_limb_on_planes(monkeypatch):
     assert embedding_search(planes, 0, workers=3) == result
 
 
-def test_block_context_cached_by_points_and_blocks(monkeypatch):
-    planes, _ = ag_design(3, 2, 2)
-    a = IncidenceStructure(planes.v, planes.blocks, name="a", block_labels=range(planes.b))
-    b = IncidenceStructure(planes.v, planes.blocks, name="b", block_labels=reversed(range(planes.b)))
-    results = []
-    with monkeypatch.context() as m:
-        m.setattr(embedding, "_SEARCH_SIZES", (2, 3))
-        for first, second in ((a, b), (b, a)):
-            _block_context.cache_clear()
-            results += [embedding_search(first, 0), embedding_search(second, 0)]
-            assert (_block_context.cache_info().hits, _block_context.cache_info().misses) == (1, 1)
-        blk = _block_context(a, 0, (2, 3))
-        ctx = _search_context(b, 0, None)
-    assert results[0].records and all(r == results[0] for r in results)
-    for arr in (blk.free, ctx.free):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0
-    # the context cached under the lifted guard is not returned under the real one
-    with pytest.raises(InfeasibleInstance):
-        embedding_search(a, 0)
-
-
 def test_workers_start_one_process_per_range(monkeypatch, pool_sizes):
     monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
     planes, _ = ag_design(3, 2, 2)
@@ -610,9 +583,6 @@ def test_workers_start_one_process_per_range(monkeypatch, pool_sizes):
 
 
 def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
-    # the block's checks run when its context is built, and a cached one is
-    # not rebuilt from the patched good_block below
-    _block_context.cache_clear()
     dpp = ag34_gb.substructure
     classes = [list(cls) for cls in ag34_gb.resolution.classes]
 
