@@ -10,8 +10,10 @@ and the GF(2) enumeration all read its chunks.  For p > 2 a mixed-radix
 odometer plays the same role.  Full enumeration is capped at 2^28 codewords by
 default.  The EMBEDRANK_CAP environment variable overrides the cap everywhere;
 the functions that enumerate (iter_codewords, weight_distribution,
-codewords_of_weight, min_weight and embedding.parallel_union_codewords) also
-take a per-call `cap`.  Everything built on them reads the default.
+codewords_of_weight and min_weight) also take a per-call `cap`.  So does
+embedding.parallel_union_codewords, which walks only a subcode but still
+compares the whole code's size with the cap.  Everything built on them reads
+the default.
 """
 
 from __future__ import annotations
@@ -84,17 +86,21 @@ class LinearCode:
 
     def contains(self, word) -> bool:
         if self.p == 2:
-            r = int(word)
-            for row, piv in zip(self.basis_bits, self.pivots):
-                if (r >> piv) & 1:
-                    r ^= row
-            return r == 0
+            return self._residue(int(word)) == 0
         r = np.asarray(word, dtype=np.int64) % self.p
         for i, piv in enumerate(self.pivots):
             c = int(r[piv])
             if c:
                 r = (r - c * self.basis_arr[i].astype(np.int64)) % self.p
         return not r.any()
+
+    def _residue(self, word: int) -> int:
+        """A GF(2) word reduced against the RREF basis; 0 exactly for codewords."""
+        r = word
+        for row, piv in zip(self.basis_bits, self.pivots):
+            if (r >> piv) & 1:
+                r ^= row
+        return r
 
 
 def code_from_rows(m: MatGFp) -> LinearCode:
@@ -195,25 +201,34 @@ def _histogram(basis: list[int], length: int, start: int, stop: int) -> np.ndarr
     return hist
 
 
-def _weight_words(
-    basis: list[int], length: int, start: int, stop: int, w: int, classes: np.ndarray | None = None
-) -> list[int]:
+def _weight_words(basis: list[int], length: int, start: int, stop: int, w: int) -> list[int]:
     """The weight-w words of chunks start .. stop - 1, in walk order.
 
-    With `classes`, limb-major columns of disjoint coordinate sets, only the
-    words whose support is a union of some of those sets are kept; each chunk
-    is filtered before its words become Python ints.
+    Only the words of weight w become Python ints.
     """
     out: list[int] = []
     for words, weights in _walk(basis, length, start, stop):
         hits = words[:, weights == w]
-        if classes is not None and hits.shape[1]:
-            meet = hits[:, :, None] & classes[:, None, :]
-            whole = (meet == 0).all(axis=0) | (meet == classes[:, None, :]).all(axis=0)
-            hits = hits[:, whole.all(axis=1)]
         if hits.shape[1]:
             out += _words(hits)
     return out
+
+
+def _walk_index(code: LinearCode, word: int) -> int:
+    """The position of a codeword in the Gray walk of the whole code.
+
+    Over an RREF basis the coefficient of row j is the word's bit at pivot j,
+    since no other row has that bit; the position is the inverse Gray code of
+    that coefficient vector.
+    """
+    g = 0
+    for j, piv in enumerate(code.pivots):
+        g |= ((word >> piv) & 1) << j
+    i = 0
+    while g:
+        i ^= g
+        g >>= 1
+    return i
 
 
 def _gf2_parts(fn, code: LinearCode, workers: int, *args) -> list:

@@ -37,6 +37,7 @@ from embedrank.designs import (
 )
 from embedrank.embedding import (
     embeddability,
+    parallel_union_codewords,
     sym_embedding_search,
     thm1_certify,
     thm_taf_necessary,
@@ -125,8 +126,6 @@ def test_c04_structure_counts(dpp, dpp_group, dpp_resolutions):
 
 def test_c05_parallel_union_counts(dpp, dpp_group, dpp_resolutions, ag34, e1, e2):
     t0 = time.time()
-    from embedrank.embedding import parallel_union_codewords
-
     code = code_from_bitrows(dpp.point_masks(), dpp.b)
     by_orbit = {}
     for orb in resolution_orbits(dpp_group, dpp_resolutions):
@@ -281,12 +280,11 @@ def test_c11_ag44_extended():
     words = codewords_of_weight(code, 128)
     assert len(words) == expected.AG44_W128
     class_masks = [sum(1 << j for j in cls) for cls in gb.resolution.classes]
-    pu = sum(
-        1
-        for w in words
-        if all((w & m) == 0 or (w & m) == m for m in class_masks)
-    )
+    unions = [w for w in words if all((w & m) == 0 or (w & m) == m for m in class_masks)]
+    pu = len(unions)
     assert pu == expected.AG44_W128_PU
+    # the subcode walk finds the same words, in the order of the whole code's walk
+    assert parallel_union_codewords(code, gb.resolution, 128) == unions
     assert (2 - 1) * comb(4**3, 2) == expected.AG44_THM5_REQUIRED
     assert pu >= expected.AG44_THM5_REQUIRED
     _report(11, "AG_3(4,4): rank 25, [336,24], 10290 w128 (2226 PU), 168 classes", t0)

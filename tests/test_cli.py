@@ -4,16 +4,27 @@ import importlib.metadata
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import embedrank
 from embedrank.cli import run
-from embedrank.designs import IncidenceStructure, emit_des, parse_des, verify_tdesign
+from embedrank.designs import (
+    IncidenceStructure,
+    emit_des,
+    emit_json,
+    load_design,
+    parse_des,
+    parse_json,
+    verify_tdesign,
+)
+from embedrank.errors import EmbedrankError
 from embedrank.geometry import ag_design
 
 
@@ -113,6 +124,86 @@ def test_malformed_design_exits_one(tmp_path, capsys, name, payload, error):
     err = json.loads(captured.err)
     assert err["error"] == error
     assert err["message"]
+
+
+# what a mutation may put in place of one integer of a design file
+_BAD_TOKENS = ("-1", "999", "1.5", "x", "0x10", "\u0663", "\uff11")
+_BAD_JSON_TOKENS = ("true", "null", "[]")
+
+
+def _ag32_forms():
+    """AG_2(3,2) as .des text and as JSON text, each with its parser.
+
+    The JSON is indented so that line mutations have lines to act on.
+    """
+    ag, _ = ag_design(3, 2, 2)
+    as_json = json.dumps(json.loads(emit_json(ag)), indent=1)
+    return {".des": (emit_des(ag), parse_des), ".json": (as_json, parse_json)}
+
+
+def _mutate(text: str, rng: random.Random, suffix: str) -> str:
+    """One to three random mutations of a design file's text."""
+    tokens = _BAD_TOKENS + (_BAD_JSON_TOKENS if suffix == ".json" else ())
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("truncate", "token", "drop", "shuffle", "insert"))
+        if kind == "truncate":
+            text = text[: rng.randrange(len(text) + 1)]
+        elif kind == "token":
+            spans = [m.span() for m in re.finditer(r"[0-9]+", text)]
+            if spans:
+                a, b = rng.choice(spans)
+                text = text[:a] + rng.choice(tokens) + text[b:]
+        elif kind == "insert":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("\r\t\0") + text[i:]
+        else:
+            lines = text.split("\n")
+            if kind == "drop":
+                del lines[rng.randrange(len(lines))]
+            else:
+                rng.shuffle(lines)
+            text = "\n".join(lines)
+    return text
+
+
+@pytest.mark.parametrize("suffix", [".des", ".json"])
+def test_mutated_designs_parse_or_raise_typed_errors(suffix):
+    text, parse = _ag32_forms()[suffix]
+    outcomes = Counter()
+    for seed in range(1000):
+        payload = _mutate(text, random.Random(seed), suffix)
+        try:
+            design = parse(payload)
+        except EmbedrankError as exc:
+            outcomes[type(exc).__name__] += 1
+        else:
+            assert isinstance(design, IncidenceStructure)
+            outcomes["parsed"] += 1
+    # the mutations keep some payloads valid and fail more than one check
+    assert outcomes["parsed"] and outcomes["WrongParameters"] and outcomes["BadIndex"]
+
+
+def test_mutated_designs_exit_one(tmp_path, capsys):
+    # the first rejected mutations of each form, through `embedrank rank`
+    for suffix, count in ((".des", 3), (".json", 2)):
+        text, _ = _ag32_forms()[suffix]
+        seed = -1
+        while count:
+            seed += 1
+            path = tmp_path / f"mutated{seed}{suffix}"
+            path.write_bytes(_mutate(text, random.Random(seed), suffix).encode())
+            try:
+                load_design(str(path))
+            except EmbedrankError as exc:
+                error = type(exc).__name__
+            else:
+                continue
+            assert run(["rank", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == error and err["message"]
+            count -= 1
 
 
 def test_gen_rank_pipeline(tmp_path, capsys):

@@ -12,6 +12,7 @@ import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
     _nchunks,
+    _walk_index,
     bent_quadratic,
     code_from_cols,
     code_from_bitrows,
@@ -317,6 +318,13 @@ def test_span_kernel_matches_gray_walk():
         w = code.length // 2
         assert codewords_of_weight(code, w, workers=3) == codewords_of_weight(code, w)
         assert weight_distribution(code, workers=3).counts == weight_distribution(code).counts
+
+
+def test_walk_index_is_the_position_in_the_walk():
+    rng = random.Random(109)
+    for length, dim in ((7, 0), (12, 5), (65, 13), (200, 14)):
+        code = _random_code(rng, length, dim)
+        assert [_walk_index(code, x) for x in iter_codewords(code)] == list(range(code.size))
 
 
 def test_parallel_union_filter_matches_gray_walk():

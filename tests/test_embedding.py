@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from embedrank import codes as codes_module
 from embedrank import designs, embedding
 from embedrank.codes import (
     _limbs,
@@ -130,6 +131,43 @@ def test_parallel_union_validation(k4_edges):
         parallel_union_codewords(code, Resolution(classes=((0, 1), (1, 2))), 4)
     with pytest.raises(WrongParameters):
         parallel_union_codewords(code, Resolution(classes=((0, 9),)), 4)
+    with pytest.raises(WrongParameters):
+        parallel_union_codewords(code, Resolution(classes=((-1, 0, 1, 2, 3, 4, 5),)), 4)
+    # coordinates 1-4 lie in no class: no word may be called a union of classes
+    with pytest.raises(WrongParameters):
+        parallel_union_codewords(code, Resolution(classes=((0, 5),)), 4)
+
+
+def test_parallel_union_trivial_subcode(k4_edges):
+    # the all-ones word is not in the K4 cut space, so only 0 is a union of the one class
+    code = code_from_bitrows(k4_edges.point_masks(), 6)
+    res = Resolution(classes=(tuple(range(6)),))
+    assert parallel_union_codewords(code, res, 0) == [0]
+    for w in range(1, 7):
+        assert parallel_union_codewords(code, res, w) == []
+    zero = code_from_bitrows([], 6)
+    singletons = Resolution(classes=tuple((j,) for j in range(6)))
+    assert parallel_union_codewords(zero, singletons, 0) == [0]
+    assert parallel_union_codewords(zero, singletons, 2) == []
+
+
+def test_parallel_union_walks_only_the_subcode(monkeypatch, ag34):
+    # C ∩ V has dimension dim C + dim V - dim(C + V); only its 2^9 words are walked, not 2^16
+    walk = codes_module._walk
+    walked = []
+
+    def spy(basis, length, start, stop):
+        for words, weights in walk(basis, length, start, stop):
+            walked.append(words.shape[1])
+            yield words, weights
+
+    monkeypatch.setattr(codes_module, "_walk", spy)
+    code = code_from_bitrows(ag34.point_masks(), ag34.b)
+    masks = [sum(1 << j for j in cls) for cls in affine_family(ag34).resolution.classes]
+    sub_dim = code.dim + len(masks) - mat_rank(MatGFp.from_bitrows(code.basis_bits + masks, code.length))
+    assert (code.dim, sub_dim) == (16, 9)
+    assert thm_taf_necessary(ag34) == (210, 210, True)
+    assert sum(walked) == 1 << sub_dim
 
 
 def test_thm5_on_hyperplane_design(ag34):
