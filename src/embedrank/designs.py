@@ -168,7 +168,6 @@ def make_resolution(design: IncidenceStructure, classes) -> Resolution:
     return Resolution(classes=ordered)
 
 
-@lru_cache(maxsize=128)
 def verify_tdesign(design: IncidenceStructure, t: int):
     """Return DesignParams if `design` is a t-design (uniform k), else None."""
     if t < 0:
@@ -280,7 +279,6 @@ def is_simple(design: IncidenceStructure) -> bool:
     return len(set(pmasks)) == design.v
 
 
-@lru_cache(maxsize=128)
 def is_affine_resolvable(design: IncidenceStructure):
     """Return (q, mu, Resolution) if the design is affine resolvable, else None.
 
@@ -288,7 +286,11 @@ def is_affine_resolvable(design: IncidenceStructure):
     non-parallel blocks always meet in mu = k^2/v points, with b = v + r - 1
     and parallelism (= disjointness) an equivalence with classes of size v/k.
     """
-    params = verify_tdesign(design, 2)
+    return _affine_resolution(design, verify_tdesign(design, 2))
+
+
+def _affine_resolution(design: IncidenceStructure, params: DesignParams | None):
+    """is_affine_resolvable, given the design's 2-design parameters (None: not a 2-design)."""
     if params is None:
         return None
     v, k = params.v, params.k
@@ -411,14 +413,14 @@ class AffineFamily(NamedTuple):
 def affine_family(design: IncidenceStructure) -> AffineFamily:
     """The design's (q, n, mu, params, resolution); WrongParameters outside the family.
 
-    Cached, like verify_tdesign and is_affine_resolvable, on the design's
-    points and blocks, so equal designs share one computation.
+    The one cached record of a design's facts, keyed on its points and
+    blocks, so equal designs share one computation and one pair walk.
     """
-    aff = is_affine_resolvable(design)
+    params = verify_tdesign(design, 2)
+    aff = _affine_resolution(design, params)
     if aff is None:
         raise WrongParameters("not an affine resolvable 2-design")
     q, mu, resolution = aff
-    params = verify_tdesign(design, 2)
     n, m = 0, 1
     while m < params.v:
         m *= q
@@ -448,6 +450,34 @@ class GoodBlock:
     block_index: int
 
 
+def _cuts(design: IncidenceStructure, base: int, skip: int | None = None) -> dict[int, list[int]]:
+    """Block indices grouped by their cut on the point mask `base`, in order of first appearance.
+
+    Block `skip` is left out; the blocks that miss `base` are the group of cut 0.
+    """
+    groups: dict[int, list[int]] = {}
+    for j, mask in enumerate(design.block_masks()):
+        if j != skip:
+            groups.setdefault(mask & base, []).append(j)
+    return groups
+
+
+def _copies(design: IncidenceStructure, block_idx: int, tag: str):
+    """The cut pass at a block: (distinct cuts, blocks per cut, blocks missing it).
+
+    The distinct nonempty cuts form a design on the block's points, in order
+    of first appearance; the derived design is its copies.
+    """
+    base = design.blocks[block_idx]
+    groups = _cuts(design, design.block_masks()[block_idx], skip=block_idx)
+    missing = groups.pop(0, [])
+    cuts = IncidenceStructure(
+        len(base), [[i for i, x in enumerate(base) if cut >> x & 1] for cut in groups],
+        name=f"{design.name or 'design'} {tag} @{block_idx}", point_labels=base,
+    )
+    return cuts, list(groups.values()), missing
+
+
 def good_block(design: IncidenceStructure, block_idx: int):
     """Test Definition-style goodness of a block of an affine resolvable design.
 
@@ -458,27 +488,8 @@ def good_block(design: IncidenceStructure, block_idx: int):
     """
     _check_block_index(design, block_idx)
     q, n, mu, params, _ = affine_family(design)
-
-    # keep_empty aligns both restrictions with the parent: their block i is
-    # parent block i, or i + 1 from block_idx on
-    der = derived(design, block_idx, keep_empty=True)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    order: list[tuple[int, ...]] = []
-    parallel = []
-    for i, cut in enumerate(der.blocks):
-        j = i + (i >= block_idx)
-        if not cut:
-            parallel.append(j)
-            continue
-        if cut not in groups:
-            groups[cut] = []
-            order.append(cut)
-        groups[cut].append(j)
-    if any(len(g) != q for g in groups.values()):
-        return None
-    s = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} cut @{block_idx}",
-                           point_labels=der.point_labels)
-    if not is_simple(s):
+    s, groups, parallel = _copies(design, block_idx, "cut")
+    if any(len(g) != q for g in groups) or not is_simple(s):
         return None
     expect_k = params.k // q
     if expect_k == 1:
@@ -492,18 +503,21 @@ def good_block(design: IncidenceStructure, block_idx: int):
         if s_params is None or s_params.k != expect_k or expect_lam is None or s_params.lam != expect_lam:
             return None
 
-    res = residual(design, block_idx, keep_empty=True)
-    sub_ids = [i for i, blk in enumerate(res.blocks) if len(blk) == params.k - mu]
+    # In the family every other block meets this one in mu points or none:
+    # the substructure is the blocks that meet it, cut down to the points off it.
+    sub_ids = sorted(j for g in groups for j in g)
+    base = design.block_masks()[block_idx]
+    off = [x for x in range(design.v) if not base >> x & 1]
+    index = {x: i for i, x in enumerate(off)}
+    labels = design.block_labels or range(design.b)
     sub = IncidenceStructure(
-        res.v, [res.blocks[i] for i in sub_ids],
+        len(off), [[index[x] for x in design.blocks[j] if x in index] for j in sub_ids],
         name=f"{design.name or 'design'} sub @{block_idx}",
-        point_labels=res.point_labels,
-        block_labels=tuple(res.block_labels[i] for i in sub_ids),
+        point_labels=off, block_labels=[labels[j] for j in sub_ids],
     )
-    by_parent = {i + (i >= block_idx): pos for pos, i in enumerate(sub_ids)}
-    classes = [tuple(sorted(by_parent[j] for j in groups[cut])) for cut in order]
+    pos = {j: i for i, j in enumerate(sub_ids)}
     try:
-        resolution = make_resolution(sub, classes)
+        resolution = make_resolution(sub, [[pos[j] for j in g] for g in groups])
     except WrongParameters:
         return None
     return GoodBlock(
@@ -534,25 +548,16 @@ def normal_block(design: IncidenceStructure, block_idx: int, q: int):
     if params.v * (q - 1) != q**3 * m - 1 or params.lam * (q - 1) != q * m - 1:
         raise WrongParameters("(v, k, lambda) do not match the (q, m) family")
 
-    der = derived(design, block_idx, keep_empty=False)
-    groups: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for blk in der.blocks:
-        if blk not in groups:
-            groups[blk] = 0
-            order.append(blk)
-        groups[blk] += 1
-    if any(c != q for c in groups.values()):
+    d0, groups, _ = _copies(design, block_idx, "core")
+    if any(len(g) != q for g in groups):
         return None
-    d0 = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} core @{block_idx}",
-                            point_labels=der.point_labels)
     lam0, rem = divmod(m - 1, q - 1)
     if rem:
         return None
     if lam0 == 0:
         # m = 1 collapses the core to distinct singletons; verify_tdesign
         # cannot apply at k = 1, so check the shape directly.
-        if len(order) == d0.v and all(len(blk) == 1 for blk in order):
+        if d0.b == d0.v and all(len(blk) == 1 for blk in d0.blocks):
             warnings.warn("degenerate core design (lambda = 0): the blocks are singletons")
             return d0
         return None

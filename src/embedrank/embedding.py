@@ -40,9 +40,9 @@ from .designs import (
     DesignParams,
     IncidenceStructure,
     Resolution,
+    _affine_resolution,
     affine_family,
     good_block,
-    is_affine_resolvable,
     residual,
     verify_tdesign,
 )
@@ -556,7 +556,8 @@ def embedding_search(
         cand: dict[str, IncidenceStructure] = {}
         for sol in solutions:
             d = _assemble(ctx.rows, sol, ctx.ncols, tag=f"completion {idx}")
-            if is_affine_resolvable(d) is None or verify_tdesign(d, 2) != ctx.params:
+            params = verify_tdesign(d, 2)
+            if params != ctx.params or _affine_resolution(d, params) is None:
                 raise InternalCheckFailed("completion is not affine resolvable with the parent's parameters")
             cand.setdefault(canonical_cert(d).digest, d)
         for digest, d in cand.items():

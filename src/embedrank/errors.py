@@ -69,10 +69,6 @@ class NotBent(EmbedrankError):
     """A Boolean function fails the flat-spectrum test."""
 
 
-class BadOrder(EmbedrankError):
-    """An argument must be a prime power (or a supported one) and is not."""
-
-
 class InfeasibleInstance(EmbedrankError):
     """The instance is outside the sizes this search supports."""
 

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import IncidenceStructure, Resolution
+from .designs import IncidenceStructure, Resolution, _cuts
 from .errors import WrongParameters
 
 # Generators gathered at once by _orbit_labels (a block is _ORBIT_BLOCK x n).
@@ -385,20 +385,11 @@ def orbits(group: PermGroup, domain: str) -> list[list[int]]:
     raise WrongParameters(f"unknown domain {domain!r}")
 
 
-def _dedupe(design: IncidenceStructure):
-    counts: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for blk in design.blocks:
-        if blk not in counts:
-            counts[blk] = 0
-            order.append(blk)
-        counts[blk] += 1
-    return order, [counts[blk] for blk in order]
-
-
 def _graph(design: IncidenceStructure):
     """Boolean adjacency matrix + initial cells for the colored incidence graph."""
-    distinct, mult = _dedupe(design)
+    groups = _cuts(design, (1 << design.v) - 1).values()
+    distinct = [design.blocks[g[0]] for g in groups]
+    mult = [len(g) for g in groups]
     v = design.v
     n = v + len(distinct)
     adj = np.zeros((n, n), dtype=bool)

@@ -57,9 +57,6 @@ class MatGFp:
             return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.bits]
         return self.arr.astype(int).tolist()
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.to_lists(), dtype=np.uint8).reshape(self.nrows, self.ncols)
-
     def transpose(self) -> "MatGFp":
         if self.p == 2:
             cols = [0] * self.ncols
@@ -70,9 +67,6 @@ class MatGFp:
                     r ^= low
             return MatGFp(self.ncols, self.nrows, 2, bits=cols)
         return MatGFp(self.ncols, self.nrows, self.p, arr=self.arr.T.copy())
-
-    def row(self, i: int) -> list[int]:
-        return self.to_lists()[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatGFp):

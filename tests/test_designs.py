@@ -6,7 +6,9 @@ import warnings
 import pytest
 
 from embedrank.designs import (
+    GoodBlock,
     IncidenceStructure,
+    affine_family,
     derived,
     emit_des,
     emit_json,
@@ -213,6 +215,154 @@ def test_normal_block_rejects(fano, ag34):
         normal_block(ag34, 0, 4)  # not symmetric
     with pytest.raises(WrongParameters):
         normal_block(fano, 0, 3)  # k does not fit the q-family
+
+
+# ---------------------------------------------------------------------------
+# good and normal blocks against the restriction-based construction
+
+
+def _reference_good_block(design, block_idx):
+    """good_block built from the keep_empty derived and residual designs, remapped to the parent."""
+    if not 0 <= block_idx < design.b:
+        raise BadIndex(f"block index {block_idx} outside 0..{design.b - 1}")
+    q, n, mu, params, _ = affine_family(design)
+    der = derived(design, block_idx, keep_empty=True)
+    groups, order, parallel = {}, [], []
+    for i, cut in enumerate(der.blocks):
+        j = i + (i >= block_idx)
+        if not cut:
+            parallel.append(j)
+            continue
+        if cut not in groups:
+            groups[cut] = []
+            order.append(cut)
+        groups[cut].append(j)
+    if any(len(g) != q for g in groups.values()):
+        return None
+    s = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} cut @{block_idx}",
+                           point_labels=der.point_labels)
+    if not is_simple(s):
+        return None
+    expect_k = params.k // q
+    if expect_k == 1:
+        if s.b != s.v or any(len(blk) != 1 for blk in s.blocks):
+            return None
+    else:
+        s_params = verify_tdesign(s, 2)
+        expect_lam = (expect_k - 1) // (q - 1) if (expect_k - 1) % (q - 1) == 0 else None
+        if s_params is None or s_params.k != expect_k or expect_lam is None or s_params.lam != expect_lam:
+            return None
+    res = residual(design, block_idx, keep_empty=True)
+    sub_ids = [i for i, blk in enumerate(res.blocks) if len(blk) == params.k - mu]
+    sub = IncidenceStructure(
+        res.v, [res.blocks[i] for i in sub_ids],
+        name=f"{design.name or 'design'} sub @{block_idx}",
+        point_labels=res.point_labels,
+        block_labels=tuple(res.block_labels[i] for i in sub_ids),
+    )
+    by_parent = {i + (i >= block_idx): pos for pos, i in enumerate(sub_ids)}
+    classes = [tuple(sorted(by_parent[j] for j in groups[cut])) for cut in order]
+    try:
+        resolution = make_resolution(sub, classes)
+    except WrongParameters:
+        return None
+    return GoodBlock(s=s, resolution=resolution, substructure=sub,
+                     parallel=tuple(parallel), q=q, n=n, mu=mu, block_index=block_idx)
+
+
+def _reference_normal_block(design, block_idx, q):
+    """normal_block's core counted from the derived design with empty cuts dropped."""
+    params = verify_tdesign(design, 2)
+    m = (params.k * (q - 1) + 1) // (q * q)
+    der = derived(design, block_idx)
+    counts, order = {}, []
+    for blk in der.blocks:
+        if blk not in counts:
+            counts[blk] = 0
+            order.append(blk)
+        counts[blk] += 1
+    if any(c != q for c in counts.values()):
+        return None
+    d0 = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} core @{block_idx}",
+                            point_labels=der.point_labels)
+    lam0, rem = divmod(m - 1, q - 1)
+    if rem:
+        return None
+    if lam0 == 0:
+        if len(order) == d0.v and all(len(blk) == 1 for blk in order):
+            warnings.warn("degenerate core design (lambda = 0): the blocks are singletons")
+            return d0
+        return None
+    d0_params = verify_tdesign(d0, 2)
+    if d0_params is None or not d0_params.symmetric or d0_params.k != params.lam or d0_params.lam != lam0:
+        return None
+    return d0
+
+
+def _structure_fields(d):
+    """Every field of a structure; IncidenceStructure equality compares (v, blocks) only."""
+    return (d.v, d.blocks, d.name, d.point_labels, d.block_labels)
+
+
+def _good_block_fields(gb):
+    if gb is None:
+        return None
+    fields = {f: getattr(gb, f) for f in GoodBlock.__dataclass_fields__}
+    fields["s"] = _structure_fields(gb.s)
+    fields["substructure"] = _structure_fields(gb.substructure)
+    return fields
+
+
+def _relabeled(design, seed, block_labels, name):
+    rng = random.Random(seed)
+    perm = list(range(design.v))
+    rng.shuffle(perm)
+    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
+    rng.shuffle(blocks)
+    labels = [f"B{j}" for j in range(len(blocks))][::-1] if block_labels else None
+    return IncidenceStructure(design.v, blocks, name=name, block_labels=labels)
+
+
+def test_good_block_matches_restriction_reference(ag34, e1, e2):
+    sizes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+    family = [ag_design(n, q, n - 1)[0] for n, q in sizes] + [e1, e2]
+    family += [
+        _relabeled(ag34, seed, labels, name)
+        for seed, labels, name in ((1, False, None), (2, False, "shuffled"), (3, True, None), (4, True, "labeled"))
+    ]
+    blocks = goods = 0
+    for design in family:
+        for j in range(design.b):
+            got = good_block(design, j)
+            assert _good_block_fields(got) == _good_block_fields(_reference_good_block(design, j)), (design.name, j)
+            blocks += 1
+            goods += got is not None
+    assert (blocks, goods) == (829, 669)
+
+
+def test_good_block_errors_match_reference(fano, pg34):
+    cases = [(fano, 7), (fano, -1), (fano, 0), (pg34, 0), (pg34, 85), (IncidenceStructure(4, [(0, 1), (2, 3)]), 0)]
+    for design, j in cases:
+        with pytest.raises(Exception) as want:
+            _reference_good_block(design, j)
+        with pytest.raises(type(want.value)) as got:
+            good_block(design, j)
+        assert str(got.value) == str(want.value)
+
+
+def test_normal_block_matches_reference(fano, pg34):
+    for design, q in ((pg34, 4), (fano, 2)):
+        for j in range(design.b):
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = normal_block(design, j, q)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = _reference_normal_block(design, j, q)
+            assert got is not None
+            assert _structure_fields(got) == _structure_fields(want)
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+            assert len(got_warnings) == (design is fano)
 
 
 def test_des_round_trip(fano, ag34):

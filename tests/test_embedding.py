@@ -28,7 +28,6 @@ from embedrank.designs import (
     Resolution,
     affine_family,
     good_block,
-    is_affine_resolvable,
     make_resolution,
     residual,
     verify_tdesign,
@@ -323,8 +322,7 @@ def test_fill_matches_brute_force_on_random_instances():
 
 
 def _clear_fact_caches():
-    for fn in (affine_family, is_affine_resolvable, verify_tdesign):
-        fn.cache_clear()
+    affine_family.cache_clear()
 
 
 def test_affine_facts_computed_once(monkeypatch):
@@ -355,6 +353,26 @@ def test_affine_facts_computed_once(monkeypatch):
     fresh_code = sym_embedding_code(fresh)
     assert (fresh_code.length, fresh_code.basis_bits) == (code.length, code.basis_bits)
     assert len(pair_counts) == 2
+
+
+def test_completion_check_walks_pairs_once(monkeypatch):
+    """Each completion the search checks costs one walk of its point pairs."""
+    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    _clear_fact_caches()
+    walks = []
+
+    def counting(pool, t):
+        if len(pool) == planes.v and t == 2:
+            walks.append(t)
+        return itertools.combinations(pool, t)
+
+    monkeypatch.setattr(designs, "combinations", counting)
+    assembled = _spy(monkeypatch, "_assemble")
+    result = embedding_search(planes, 0)
+    assert result.designs and len(assembled) >= len(result.designs)
+    # the parent's facts once, then one walk per assembled completion
+    assert len(walks) == 1 + len(assembled)
 
 
 def test_search_constants_are_derived(ag34, e1_found, e1_block):
@@ -497,7 +515,12 @@ def _table_hits(ctx):
 
 
 def _random_context(rng, nclasses, size, npar, need=2):
-    """Random rows over shuffled class columns, then `npar` parallel columns and the removed block's."""
+    """Random rows over shuffled class columns, then `npar` parallel columns and the removed block's.
+
+    Every column but the parallel ones has room 2, which `need` rows of
+    weight r never fill: the scan finds nothing here, and `_planted_context`
+    gives the contexts whose scan finds completions.
+    """
     width = nclasses * size
     ncols = width + npar + 1
     cols = list(range(width))
@@ -532,14 +555,89 @@ def test_class_count_hits_on_random_contexts():
     assert total > 100
 
 
+def _dot(a, x):
+    return (a & x).bit_count() & 1
+
+
+def _planted_context(rng, size, need, extra):
+    """A context whose completions include `need` planted rows; returns it and the rows.
+
+    The columns are the points of AG(5, 2), the removed block's column being
+    the origin, then `extra` columns outside the geometry.  The planted rows
+    are `need` hyperplanes through the origin with independent normals, so
+    they meet pairwise in lambda = 8 and weigh r = 16; the room is their
+    column sums.  The old rows are hyperplanes missing the origin, which meet
+    every planted row in lambda too, and span the XOR of the first planted
+    row with each of the others.  The candidate is that first row: its points
+    off the origin fill whole classes of `size`.  The other classes take as
+    many of the other points the planted rows cover as fill whole classes, so
+    no class column has room 0.  The remaining points and the extra columns
+    follow the classes; those no planted row covers have room 0, as parallel
+    columns do.  A few random rows join the span, not the old rows, so the
+    table still meets odd weights.
+    """
+    points = range(1, 32)
+    while True:
+        normals = rng.sample(points, need)
+        if len(mat_rref(MatGFp.from_bitrows(normals, 5))[1]) == need:
+            break
+    covered = [x for x in points if any(not _dot(a, x) for a in normals)]
+    first = [x for x in covered if not _dot(normals[0], x)]
+    rest = [x for x in covered if _dot(normals[0], x)]
+    rng.shuffle(rest)
+    nclasses = len(covered) // size
+    width = nclasses * size
+    class_points = first + rest[: width - len(first)]
+    par_points = rest[width - len(first) :] + [x for x in points if x not in covered]
+    npar = len(par_points) + extra
+    ncols = width + npar + 1
+    cols = list(range(width))
+    rng.shuffle(cols)
+    col = {0: ncols - 1, **dict(zip(class_points, cols)), **dict(zip(par_points, range(width, ncols)))}
+
+    def hyperplane(a, side):
+        return sum(1 << col[x] for x in range(32) if _dot(a, x) == side)
+
+    planted = [hyperplane(a, 0) for a in normals]
+    old = {a ^ normals[0] for a in normals[1:]}
+    old |= set(rng.sample([a for a in points if a not in normals], rng.randrange(2, 6)))
+    rows = [hyperplane(a, 1) for a in old]
+    rng.shuffle(rows)
+    spare = [rng.getrandbits(width + npar) for _ in range(rng.randrange(3))]
+    rref, _ = mat_rref(MatGFp.from_bitrows(rows + spare, ncols))
+    class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
+    ctx = _SearchContext(
+        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
+        fixed=rng.choice([c for c, m in enumerate(class_masks) if m & planted[0]]),
+        room=[sum(w >> j & 1 for w in planted) for j in range(ncols)],
+        r=16, lam=8, need=need, per_candidate=len(first) // size - 1,
+    )
+    return ctx, planted
+
+
+def test_scan_finds_planted_completions():
+    """Every seeded planted context finds its planted rows, as the reference scan does."""
+    rng = random.Random(17)
+    found_planted = 0
+    cases = [(need, shape) for need in (1, 2, 3, 4) for shape in [(3, 0, 1), (5, 2, 1), (3, 40, 2), (5, 50, 2)] * 3]
+    for need, (size, extra, nlimbs) in cases:
+        ctx, planted = _planted_context(rng, size, need, extra)
+        assert len(_limbs(ctx.basis, ctx.ncols)) == nlimbs
+        assert _table_hits(ctx) == _reference_hits(ctx)
+        found = _scan_all(ctx)
+        assert found == _reference_scan(_reference_args(ctx))
+        found_planted += any(set(sol) == set(planted) for _, _, sols in found for sol in sols)
+    assert found_planted == len(cases) == 48
+
+
 def _spy(monkeypatch, name):
     """Record the arguments of every call to embedding.<name>, then make the call."""
     calls = []
     fn = getattr(embedding, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(embedding, name, spy)
     return calls
