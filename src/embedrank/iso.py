@@ -18,11 +18,32 @@ of refining with one splitter at a time, in queue order.  A leaf's labeled
 adjacency is the relabeled matrix packed to bytes.
 
 Automorphisms fall out whenever two explored leaves carry the same labeled
-graph; they are verified by application before use and drive orbit pruning,
-with the stabilizer orbits found by min-label propagation over the
-generators.  The canonical certificate is the canonical relabeling
+graph.  The search keeps a leaf store: every distinct leaf key, with the
+order and path (the individualized vertices) of the first leaf that had it.
+A later leaf with a stored key gives the automorphism taking it onto the
+stored leaf, verified by application before use.  If it maps the new leaf's
+path onto the stored leaf's path (equal keys imply this, because the search
+tree is invariant under automorphisms and a leaf determines its path; the
+search checks it anyway), the search backjumps to the two paths' common
+ancestor: the ancestor's child subtree holding the new leaf is the image of
+the explored one holding the stored leaf, so nothing new remains in it.
+This generalizes nauty's jump on leaves equal to the first leaf to every
+stored leaf.  The canonical certificate is the canonical relabeling
 serialized as text; two structures are isomorphic iff their certificates
 match byte for byte.
+
+A node's children are skipped when they lie in the orbit of an explored
+sibling under found automorphisms fixing the node's path (orbits by
+min-label propagation).  At a first-path node these are the found
+generators that fix the path.  A node off the first path, whose path leaves
+it at level d, uses Schreier generators instead (Schreier's lemma; Seress,
+*Permutation Group Algorithms*, CUP 2003): start from the found generators
+that fix the path's first d vertices and take one Schreier step per later
+vertex of the path, keeping the first _ORBIT_BLOCK distinct ones of each
+step.  They generate part of the path's pointwise stabilizer in the group
+found so far, usually far more of it than the found generators that happen
+to fix the whole path.  Each node's set is built from its parent's, and the
+sets are rebuilt only after a new generator is found.
 
 The group order is read off the same search tree, as in nauty (McKay &
 Piperno, "Practical graph isomorphism II", JSC 60, 2014).  Let v_0, v_1, ...
@@ -33,10 +54,20 @@ orbit under the pointwise stabilizer of v_0 .. v_(d-1), and each orbit is
 taken under the found generators that fix v_0 .. v_(d-1).  This is exact
 because the search explores every child of a first-path node whose subtree
 can hold a leaf equivalent to the first leaf, skipping only children in the
-orbit of an explored one.  Each child in v_d's true orbit thus either yields
-a generator mapping it onto v_d or is joined to it by earlier generators.  A
-pruning rule that skipped such a child would make the order silently too
-small; the order tests compare it with independent counts.
+orbit of an explored one under those same generators.  Each explored child
+w in v_d's true orbit yields a generator fixing v_0 .. v_(d-1) that maps w
+onto v_d (a leaf equal to the first leaf) or onto an explored sibling (a
+leaf-store jump to level d).  The stronger pruning stays off the first path,
+where it cannot lose such a generator: below w, every subtree skipped by a
+Schreier orbit or abandoned by a jump is the image, under an automorphism
+fixing w's path down to the skipping node, of a subtree explored earlier,
+so some leaf equivalent to the first leaf below w is still reached unless a
+jump to level d has already joined w to a sibling.  At a first-path node
+every generator found so far fixes its path, because every explored leaf
+lies below it, so Schreier steps would add nothing there.  A pruning rule
+that skipped a first-path child without joining it would make the order
+silently too small; the order tests compare it with independent counts and
+with a reference search that prunes less.
 """
 
 from __future__ import annotations
@@ -50,7 +81,8 @@ import numpy as np
 from .designs import IncidenceStructure, Resolution, _cuts
 from .errors import WrongParameters
 
-# Generators gathered at once by _orbit_labels (a block is _ORBIT_BLOCK x n).
+# Generators gathered at once by _orbit_labels (a block is _ORBIT_BLOCK x n),
+# and the Schreier generators kept per step off the first path.
 _ORBIT_BLOCK = 32
 
 
@@ -143,12 +175,59 @@ def _leaf_key(adj: np.ndarray, order: np.ndarray) -> bytes:
     return np.packbits(adj[np.ix_(order, order[::-1])]).tobytes()
 
 
-class _Backjump(Exception):
-    """Abandon the subtree up to the first-path node at `level`.
+def _schreier_step(rows: np.ndarray, x: int) -> np.ndarray:
+    """Schreier generators of the stabilizer of `x` in the group `rows` generate.
 
-    Raised when a leaf turns out to be automorphism-equivalent to the first
-    leaf: the whole sibling subtree then maps onto the already-explored
-    first-path subtree, so nothing new (keys or generators) remains below.
+    The walk visits the orbit of x breadth first and keeps, for each point y
+    reached, a product u_y of generators with u_y(x) = y.  For each point y
+    and generator s, u_{s(y)}^-1 s u_y fixes x, and together these generate
+    the stabilizer (Schreier's lemma).  Only the first _ORBIT_BLOCK distinct
+    non-identity ones in walk order are kept, so the result generates a
+    subgroup of the stabilizer: enough to prune by, and never more.
+    """
+    n = rows.shape[1]
+    identity = np.arange(n)
+    transversal = {x: (identity, identity)}  # y -> (u_y, u_y^-1)
+    queue = [x]
+    found: dict[bytes, np.ndarray] = {}
+    for y in queue:
+        u = transversal[y][0]
+        for s in rows:
+            su = s[u]
+            z = int(su[x])
+            if z not in transversal:
+                inverse = np.empty(n, dtype=np.intp)
+                inverse[su] = identity
+                transversal[z] = (su, inverse)
+                queue.append(z)
+                continue
+            g = transversal[z][1][su]
+            key = g.tobytes()
+            if key not in found and not np.array_equal(g, identity):
+                found[key] = g
+                if len(found) == _ORBIT_BLOCK:
+                    return np.array(list(found.values()))
+    return np.array(list(found.values()), dtype=np.intp).reshape(-1, n)
+
+
+def _common_length(a, b) -> int:
+    """The length of the longest common prefix of two vertex sequences."""
+    length = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        length += 1
+    return length
+
+
+class _Backjump(Exception):
+    """Abandon the subtree up to the node at `level`.
+
+    Raised when a leaf is automorphism-equivalent to a stored leaf by an
+    automorphism that maps the one's path onto the other's: the sibling
+    subtree of the two paths' common ancestor that holds the new leaf then
+    maps onto the already-explored one that holds the stored leaf, so
+    nothing new (keys or generators) remains below.
     """
 
     def __init__(self, level: int):
@@ -159,7 +238,8 @@ class _Search:
     """One individualization-refinement run over a colored graph.
 
     `adj` is the boolean adjacency matrix and `cells` the initial ordered
-    color classes.
+    color classes.  `nodes`, `leaves` and `backjumps` count the search tree's
+    refined nodes, its leaves and the jumps its leaf store made.
     """
 
     def __init__(self, adj: np.ndarray, cells: list[list[int]]):
@@ -167,16 +247,22 @@ class _Search:
         self.weights = adj.astype(np.float32)
         self.n = len(adj)
         self.first_path: list[tuple[int, ...]] = []
-        self.first_key = None
-        self.first_order = None
         self.first_prefix: tuple[int, ...] = ()
         self.best_path: list[tuple[int, ...]] = []
         self.best_key = None
         self.best_order = None
+        # every distinct leaf key met so far -> (order, prefix) of its first leaf
+        self._leaves: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
         # generators found so far: the first self.ngens rows, capacity doubling
         self._gens = np.empty((8, self.n), dtype=np.intp)
         self.ngens = 0
         self._gen_keys: set[bytes] = set()
+        # Schreier generators off the first path: entry i holds those fixing
+        # prefix[:i] (None where unused), all built when the search had
+        # self._chain_built generators
+        self._chain: list[np.ndarray | None] = []
+        self._chain_built = 0
+        self.nodes = self.leaves = self.backjumps = 0
         cells = [c for c in cells if c]
         seq = np.array([x for c in cells for x in c], dtype=np.intp)
         cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
@@ -205,28 +291,84 @@ class _Search:
 
     # -- leaf helpers ------------------------------------------------------
 
-    def _record_automorphism(self, ref_order, order) -> None:
+    def _record_automorphism(self, ref_order, order):
+        """The permutation taking `order` onto `ref_order`, kept as a generator if new.
+
+        Returns None, and keeps nothing, unless it is an automorphism.
+        """
         gamma = np.empty(self.n, dtype=np.intp)
         gamma[order] = ref_order
-        key = gamma.tobytes()
-        if key in self._gen_keys or (gamma == np.arange(self.n)).all():
-            return
         if not np.array_equal(self.adj[np.ix_(gamma, gamma)], self.adj):
+            return None
+        key = gamma.tobytes()
+        if key not in self._gen_keys and not (gamma == np.arange(self.n)).all():
+            if self.ngens == len(self._gens):
+                self._gens = np.concatenate([self._gens, np.empty_like(self._gens)])
+            self._gens[self.ngens] = gamma
+            self.ngens += 1
+            self._gen_keys.add(key)
+        return gamma
+
+    def _leaf(self, order, prefix, improving, dominated) -> None:
+        self.leaves += 1
+        key = _leaf_key(self.adj, order)
+        stored = self._leaves.get(key)
+        if stored is None:
+            self._leaves[key] = (order, tuple(prefix))
+            if len(self._leaves) == 1:
+                self.first_prefix = tuple(prefix)
+        if not dominated and key != self.best_key:
+            if improving or self.best_key is None or key > self.best_key:
+                self.best_key = key
+                self.best_order = order
+        if stored is None:
             return
-        if self.ngens == len(self._gens):
-            self._gens = np.concatenate([self._gens, np.empty_like(self._gens)])
-        self._gens[self.ngens] = gamma
-        self.ngens += 1
-        self._gen_keys.add(key)
+        ref_order, ref_prefix = stored
+        gamma = self._record_automorphism(ref_order, order)
+        if gamma is None or not np.array_equal(gamma[prefix], ref_prefix):
+            return
+        self.backjumps += 1
+        raise _Backjump(_common_length(prefix, ref_prefix))
 
     # -- search ------------------------------------------------------------
 
+    def _fixing(self, points: list[int]) -> np.ndarray:
+        """The found generators that fix every vertex of `points`."""
+        rows = self.gens
+        return rows[(rows[:, points] == points).all(axis=1)] if points else rows
+
+    def _pruning_rows(self, prefix: list[int]) -> np.ndarray:
+        """Found automorphisms fixing every vertex of `prefix`, to prune its children by.
+
+        On the first path these are the found generators that fix the prefix,
+        the same rows group_order reads orbits from.  Off it, where the prefix
+        leaves the first path at level d, they are Schreier generators: the
+        found generators fixing prefix[:d], then one _schreier_step per
+        vertex of prefix[d:], each node's set built from its parent's.
+        """
+        depth = len(prefix)
+        d = _common_length(prefix, self.first_prefix)
+        if d == depth:
+            return self._fixing(prefix)
+        chain = self._chain
+        if self._chain_built != self.ngens:
+            chain.clear()
+            self._chain_built = self.ngens
+        chain.extend([None] * (d + 1 - len(chain)))
+        if chain[d] is None:
+            chain[d] = self._fixing(prefix[:d])
+        for i in range(len(chain), depth + 1):
+            chain.append(_schreier_step(chain[i - 1], prefix[i - 1]))
+        return chain[depth]
+
     def _node(self, partition, depth, eq_first, improving, dominated, prefix) -> None:
+        self.nodes += 1
+        del self._chain[depth:]
         seq, cell = partition
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         sizes = np.diff(starts, append=self.n)
         inv = tuple(sizes.tolist())
-        if self.first_key is None:
+        if not self._leaves:
             self.first_path.append(inv)
             eq_first = True
         elif eq_first:
@@ -251,34 +393,7 @@ class _Search:
                     dominated = True
 
         if len(sizes) == self.n:
-            order = seq
-            key = _leaf_key(self.adj, order)
-            if self.first_key is None:
-                self.first_key = key
-                self.first_order = order
-                self.first_prefix = tuple(prefix)
-                self.best_key = key
-                self.best_order = order
-                return
-            collide = eq_first and key == self.first_key
-            if collide:
-                self._record_automorphism(self.first_order, order)
-            if not dominated:
-                if improving or self.best_key is None or key > self.best_key:
-                    if self.best_key is not None and key == self.best_key:
-                        self._record_automorphism(self.best_order, order)
-                    else:
-                        self.best_key = key
-                        self.best_order = order
-                elif key == self.best_key:
-                    self._record_automorphism(self.best_order, order)
-            if collide:
-                level = 0
-                for a, b in zip(prefix, self.first_prefix):
-                    if a != b:
-                        break
-                    level += 1
-                raise _Backjump(level)
+            self._leaf(seq, prefix, improving, dominated)
             return
 
         target = int(np.argmin(np.where(sizes > 1, sizes, self.n + 1)))
@@ -294,10 +409,7 @@ class _Search:
         for v in sorted(members.tolist()):
             if processed:
                 if built != self.ngens:
-                    rows = self.gens
-                    if prefix:
-                        rows = rows[(rows[:, prefix] == prefix).all(axis=1)]
-                    labels = _orbit_labels(rows, self.n)
+                    labels = _orbit_labels(self._pruning_rows(prefix), self.n)
                     built = self.ngens
                 if (labels[processed] == labels[v]).any():
                     continue

@@ -478,7 +478,6 @@ def test_embed_search_workers_deterministic(tmp_path, capsys):
         assert (params.v, params.k, params.lam) == (64, 16, 5)
 
 
-@pytest.mark.slow
 def test_reproduce_section5(capsys):
     assert run(["reproduce", "section5"]) == 0
     out = capsys.readouterr().out
