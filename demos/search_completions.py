@@ -6,10 +6,10 @@ of weight 21 lying in a dimension-16 code determined by one candidate row.
 The search tries all 3876 candidate rows, finds the 16 viable codes, and
 sorts the 16 completions into isomorphism classes: 4 copies of AG_2(3,4)
 itself and 12 copies of a design with the same parameters and the same
-2-rank 16 but a much smaller automorphism group.  Expect a few minutes of
-wall time; pass a worker count to split the scan.
+2-rank 16 but a much smaller automorphism group.  Expect several seconds
+of wall time; pass a directory to export one design per class.
 
-usage: python3 search_completions.py [workers] [outdir]
+usage: python3 search_completions.py [outdir]
 """
 
 import sys
@@ -27,12 +27,11 @@ from embedrank import (
 
 
 def main() -> None:
-    workers = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    outdir = sys.argv[2] if len(sys.argv) > 2 else None
+    outdir = sys.argv[1] if len(sys.argv) > 1 else None
 
     ag, _ = ag_design(3, 4, 2)
     print(f"searching completions of {ag.name} minus block 0 ...")
-    result = embedding_search(ag, 0, workers=workers)
+    result = embedding_search(ag, 0)
     print(
         f"{result.candidates_examined} candidates, "
         f"{result.viable_codes} viable codes, "

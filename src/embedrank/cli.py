@@ -9,7 +9,7 @@ a stored computation and diffs it against the frozen values in `expected`.
 
 Usage errors exit 2 (argparse).  Computation errors exit 1 and print a JSON
 object {"error": <class>, "message": <text>} on stderr.  All output is
-deterministic; `--workers` (at least 1) only changes wall time.
+deterministic.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _cmd_wdist(args) -> int:
     design = load_design(args.des)
     m = design.incidence_matrix(args.p)
     code = code_from_rows(m) if args.rows else code_from_cols(m)
-    wd = weight_distribution(code, cap=args.cap, workers=args.workers)
+    wd = weight_distribution(code, cap=args.cap)
     sys.stdout.write(wd.as_csv())
     return 0
 
@@ -201,7 +201,7 @@ def _export_designs(designs, out_dir: str) -> None:
 
 def _cmd_embed_search(args) -> int:
     design = load_design(args.des)
-    result = embedding_search(design, args.block, workers=args.workers)
+    result = embedding_search(design, args.block)
     _print_json(_search_report(result))
     if args.out:
         _export_designs([rep for rep, _ in result.iso_classes], args.out)
@@ -287,7 +287,7 @@ def _check_distribution(wd, listed: dict[int, int], mismatches: list[str]) -> No
 def _repro_table1(args) -> int:
     design, _ = ag_design(3, 4, 2)
     code = _mpp_code(design, 0)
-    wd = weight_distribution(code, workers=args.workers)
+    wd = weight_distribution(code)
     sys.stdout.write(wd.as_csv())
     mismatches: list[str] = []
     _check_distribution(wd, expected.TABLE1_LISTED, mismatches)
@@ -304,7 +304,7 @@ def _repro_table2(args) -> int:
     design = _bundled_design("e1.des")
     block = _good_block_in_orbit(design, 3)
     code = _mpp_code(design, block)
-    wd = weight_distribution(code, workers=args.workers)
+    wd = weight_distribution(code)
     sys.stdout.write(wd.as_csv())
     mismatches: list[str] = []
     full = dict(expected.TABLE2)
@@ -382,7 +382,7 @@ def _repro_section5(args) -> int:
         expected.E2_DIGEST: "e2",
     }
 
-    result1 = embedding_search(ag, 0, workers=args.workers)
+    result1 = embedding_search(ag, 0)
     reps = _stage_report(
         "stage 1: ag = AG_2(3,4), block 0", result1, names, expected.STAGE1_CLASSES, mismatches
     )
@@ -393,7 +393,7 @@ def _repro_section5(args) -> int:
     _design_facts("e1", e1, expected.AUT_ORDER_E1, expected.E1_BLOCK_ORBITS, mismatches)
 
     block2 = _good_block_in_orbit(e1, 3)
-    result2 = embedding_search(e1, block2, workers=args.workers)
+    result2 = embedding_search(e1, block2)
     reps2 = _stage_report(
         f"stage 2: e1, block {block2} (orbit length 3)",
         result2,
@@ -408,7 +408,7 @@ def _repro_section5(args) -> int:
     _design_facts("e2", e2, expected.AUT_ORDER_E2, expected.E2_BLOCK_ORBITS, mismatches)
 
     block3 = _good_block_in_orbit(e2, 4)
-    result3 = embedding_search(e2, block3, workers=args.workers)
+    result3 = embedding_search(e2, block3)
     _stage_report(
         f"stage 3: e2, block {block3} (orbit length 4)",
         result3,
@@ -511,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--cols", action="store_true")
     wdist.add_argument("-p", type=int, default=2)
     wdist.add_argument("--cap", type=int, default=None)
-    wdist.add_argument("--workers", type=int, default=1)
     wdist.set_defaults(func=_cmd_wdist)
 
     for op in ("residual", "derived"):
@@ -546,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("embed-search", help="search completions of a residual with good block")
     es.add_argument("des")
     es.add_argument("block", type=int)
-    es.add_argument("--workers", type=int, default=1)
     es.add_argument("--out", help="directory for .des exports of the designs found")
     es.set_defaults(func=_cmd_embed_search)
 
@@ -567,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="rerun a stored computation and diff the results")
     rep.add_argument("target", choices=("table1", "table2", "section5", "section6"))
-    rep.add_argument("--workers", type=int, default=1)
     rep.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -581,8 +578,6 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise WrongParameters(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except EmbedrankError as exc:
         _error_json(type(exc).__name__, str(exc))

@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -161,12 +160,8 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _nchunks(code: LinearCode) -> int:
-    return 1 << max(0, code.dim - _CHUNK_BITS)
-
-
-def _walk(basis: list[int], length: int, start: int, stop: int):
-    """Yield (words, weights) for chunks start .. stop - 1 of the Gray walk.
+def _walk(basis: list[int], length: int):
+    """Yield (words, weights) chunk by chunk over the Gray walk of the whole code.
 
     `words` is a limb-major uint64 array with one column per codeword, in walk
     order, and `weights` their Hamming weights.  Both buffers are overwritten
@@ -176,17 +171,11 @@ def _walk(basis: list[int], length: int, start: int, stop: int):
     k = min(_CHUNK_BITS, len(basis))
     words = _span_table(rows[:, :k])
     steps = rows[:, k:] ^ rows[:, k - 1 : k]
-    g = start ^ (start >> 1)
-    for j in range(len(basis) - k):
-        if (g >> j) & 1:
-            words ^= rows[:, k + j : k + j + 1]
-    if start & 1:
-        words ^= rows[:, k - 1 : k]
     wdtype = np.uint16 if length < 1 << 16 else np.uint32
     counts = np.empty(words.shape, dtype=np.uint8)
     weights = np.empty(words.shape[1], dtype=wdtype)
-    for h in range(start, stop):
-        if h > start:
+    for h in range(1 << (len(basis) - k)):
+        if h:
             j = (h & -h).bit_length() - 1
             np.bitwise_xor(words, steps[:, j : j + 1], out=words)
         np.bitwise_count(words, out=counts)
@@ -194,20 +183,20 @@ def _walk(basis: list[int], length: int, start: int, stop: int):
         yield words, weights
 
 
-def _histogram(basis: list[int], length: int, start: int, stop: int) -> np.ndarray:
+def _histogram(basis: list[int], length: int) -> np.ndarray:
     hist = np.zeros(length + 1, dtype=np.int64)
-    for _, weights in _walk(basis, length, start, stop):
+    for _, weights in _walk(basis, length):
         hist += np.bincount(weights, minlength=length + 1)
     return hist
 
 
-def _weight_words(basis: list[int], length: int, start: int, stop: int, w: int) -> list[int]:
-    """The weight-w words of chunks start .. stop - 1, in walk order.
+def _weight_words(basis: list[int], length: int, w: int) -> list[int]:
+    """The weight-w words of the code, in walk order.
 
     Only the words of weight w become Python ints.
     """
     out: list[int] = []
-    for words, weights in _walk(basis, length, start, stop):
+    for words, weights in _walk(basis, length):
         hits = words[:, weights == w]
         if hits.shape[1]:
             out += _words(hits)
@@ -231,21 +220,10 @@ def _walk_index(code: LinearCode, word: int) -> int:
     return i
 
 
-def _gf2_parts(fn, code: LinearCode, workers: int, *args) -> list:
-    """fn(basis, length, start, stop, *args) over the whole walk.
-
-    With workers > 1 and more than one chunk, the chunks are split into
-    min(workers, chunks) equal consecutive ranges, one per forked worker, and
-    the parts come back in walk order.
-    """
-    total = _nchunks(code)
-    nparts = min(workers, total)
-    if nparts <= 1:
-        return [fn(code.basis_bits, code.length, 0, total, *args)]
-    bounds = [total * i // nparts for i in range(nparts + 1)]
-    jobs = [(code.basis_bits, code.length, bounds[i], bounds[i + 1], *args) for i in range(nparts)]
-    with get_context("fork").Pool(nparts) as pool:
-        return pool.starmap(fn, jobs)
+def _single_process(workers: int) -> None:
+    """Every walk and search runs in the calling process: `workers` must be 1."""
+    if workers != 1:
+        raise WrongParameters(f"workers must be 1, got {workers}")
 
 
 def iter_codewords(code: LinearCode, cap: int | None = None):
@@ -256,7 +234,7 @@ def iter_codewords(code: LinearCode, cap: int | None = None):
     """
     _check_cap(code, cap)
     if code.p == 2:
-        for words, _ in _walk(code.basis_bits, code.length, 0, _nchunks(code)):
+        for words, _ in _walk(code.basis_bits, code.length):
             yield from _words(words)
     else:
         k = code.dim
@@ -303,15 +281,11 @@ class WeightDistribution:
 
 
 def weight_distribution(code: LinearCode, cap: int | None = None, workers: int = 1) -> WeightDistribution:
-    """Exact weight distribution by full enumeration.
-
-    With workers > 1 the GF(2) walk is split into equal ranges of chunks and
-    the per-range histograms are added; the result is identical to the
-    single-worker walk.
-    """
+    """Exact weight distribution by full enumeration."""
+    _single_process(workers)
     _check_cap(code, cap)
     if code.p == 2:
-        hist = sum(_gf2_parts(_histogram, code, workers))
+        hist = _histogram(code.basis_bits, code.length)
         counts = {w: int(c) for w, c in enumerate(hist) if c}
     else:
         counts = {}
@@ -329,14 +303,11 @@ def min_weight(code: LinearCode, cap: int | None = None) -> int:
 
 
 def codewords_of_weight(code: LinearCode, w: int, cap: int | None = None, workers: int = 1) -> list:
-    """All codewords of the given weight, in enumeration order.
-
-    Workers split the GF(2) walk into ranges of chunks; concatenating the
-    ranges in order reproduces the single-worker list exactly.
-    """
+    """All codewords of the given weight, in enumeration order."""
+    _single_process(workers)
     _check_cap(code, cap)
     if code.p == 2:
-        out = [word for part in _gf2_parts(_weight_words, code, workers, w) for word in part]
+        out = _weight_words(code.basis_bits, code.length, w)
     else:
         out = [vec.copy() for vec in iter_codewords(code, cap=cap) if int(np.count_nonzero(vec)) == w]
     return out[:1] if w == 0 else out

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from .codes import (
     LinearCode,
     _check_cap,
     _limbs,
-    _nchunks,
+    _single_process,
     _span_table,
     _walk_index,
     _weight_words,
@@ -149,7 +148,7 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
     if seen != (1 << code.length) - 1:
         raise WrongParameters("resolution classes leave coordinates uncovered")
     sub = code_from_bitrows(_union_basis(code, masks), code.length)
-    words = _weight_words(sub.basis_bits, sub.length, 0, _nchunks(sub), w)
+    words = _weight_words(sub.basis_bits, sub.length, w)
     return sorted(words, key=lambda word: _walk_index(code, word))
 
 
@@ -466,21 +465,21 @@ def _expand(
     return cand, table.words[:, pos] ^ ys[:, cand]
 
 
-def _scan_range(args):
-    """The viable candidates among start .. stop - 1, as (index, classes, solutions).
+def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
+    """The viable candidates, as (index, classes, solutions).
 
     A candidate's hits (see `_hit_matrix`) that meet every old row in lambda
     are its rows for `_fill`; it is viable when `_fill` finds a completion
     among them.  The lambda test only removes hits, so a candidate with fewer
     than `need` hits cannot be viable: only the others are expanded and tested.
     """
-    start, stop, ctx, table = args
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
-    combos = itertools.islice(itertools.combinations(rest, ctx.per_candidate), start, None)
+    combos = itertools.combinations(rest, ctx.per_candidate)
+    total = comb(len(rest), ctx.per_candidate)
     row_cols = _limbs(ctx.rows, ctx.ncols)
     found = []
-    for first in range(start, stop, _SCAN_CHUNK):
-        n = min(_SCAN_CHUNK, stop - first)
+    for first in range(0, total, _SCAN_CHUNK):
+        n = min(_SCAN_CHUNK, total - first)
         flat = itertools.chain.from_iterable(itertools.islice(combos, n))
         idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
         hit, ys = _hit_matrix(ctx, table, idx)
@@ -529,22 +528,11 @@ def embedding_search(
     and tested.  Designs are deduplicated per
     candidate by canonical form and classified into isomorphism classes
     across candidates.  Only the `_SEARCH_SIZES` instances are searched.
-    With workers > 1 the candidates are split into min(workers, candidates)
-    consecutive ranges, one forked process each; the output does not change.
     """
+    _single_process(workers)
     ctx = _search_context(design, block_idx, resolution)
     examined = comb(len(ctx.class_masks) - 1, ctx.per_candidate)
-    table = _scan_table(ctx)
-    # One process per nonempty range: never more than there are candidates.
-    nparts = min(workers, examined)
-    if nparts > 1:
-        bounds = [examined * i // nparts for i in range(nparts + 1)]
-        chunks = [(bounds[i], bounds[i + 1], ctx, table) for i in range(nparts)]
-        with get_context("fork").Pool(nparts) as pool:
-            parts = pool.map(_scan_range, chunks)
-        found = [hit for part in parts for hit in part]
-    else:
-        found = _scan_range((0, examined, ctx, table))
+    found = _scan(ctx, _scan_table(ctx))
 
     designs: list[IncidenceStructure] = []
     records: list[CandidateRecord] = []

@@ -11,7 +11,6 @@ import pytest
 import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
-    _nchunks,
     _walk_index,
     bent_quadratic,
     code_from_cols,
@@ -34,7 +33,7 @@ from embedrank.codes import (
     weight_distribution,
 )
 from embedrank.designs import Resolution, residual, verify_tdesign
-from embedrank.embedding import parallel_union_codewords
+from embedrank.embedding import embedding_search, parallel_union_codewords
 from embedrank.errors import (
     BadDimension,
     CapExceeded,
@@ -260,25 +259,16 @@ def test_codewords_of_weight_matches_enumeration():
     assert codewords_of_weight(code, 5) == []
 
 
-def test_codewords_of_weight_workers_agree():
+def test_workers_other_than_one_raise(ag34):
+    # the keyword stays only for callers that pass workers=1
     code = rm_code(2, 5)
-    single = codewords_of_weight(code, 8)
-    assert len(single) == 620
-    assert codewords_of_weight(code, 8, workers=3) == single
-    wd1 = weight_distribution(code)
-    wd3 = weight_distribution(code, workers=3)
-    assert wd1.counts == wd3.counts
-
-
-def test_workers_start_one_process_per_range(pool_sizes):
-    code = rm_code(2, 5)
-    assert _nchunks(code) == 16
-    single = codewords_of_weight(code, 8)
-    counts = weight_distribution(code).counts
-    for workers in (0, -3, 3, 16, 10**9):
-        assert codewords_of_weight(code, 8, workers=workers) == single
-        assert weight_distribution(code, workers=workers).counts == counts
-    assert pool_sizes == [3, 3, 16, 16, 16, 16]
+    for workers in (2, 0):
+        with pytest.raises(WrongParameters):
+            weight_distribution(code, workers=workers)
+        with pytest.raises(WrongParameters):
+            codewords_of_weight(code, 8, workers=workers)
+        with pytest.raises(WrongParameters):
+            embedding_search(ag34, 0, workers=workers)
 
 
 def _gray_walk(rows):
@@ -313,11 +303,6 @@ def test_span_kernel_matches_gray_walk():
                 assert codewords_of_weight(code, w) == [x for x in ref if x.bit_count() == w]
             if dim:
                 assert min_weight(code) == min(hist.keys() - {0})
-    for length in (65, 336):
-        code = _random_code(rng, length, 17)
-        w = code.length // 2
-        assert codewords_of_weight(code, w, workers=3) == codewords_of_weight(code, w)
-        assert weight_distribution(code, workers=3).counts == weight_distribution(code).counts
 
 
 def test_walk_index_is_the_position_in_the_walk():

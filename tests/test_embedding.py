@@ -37,7 +37,7 @@ from embedrank.embedding import (
     _fill,
     _hit_matrix,
     _room,
-    _scan_range,
+    _scan,
     _scan_table,
     _search_context,
     _SearchContext,
@@ -155,8 +155,8 @@ def test_parallel_union_walks_only_the_subcode(monkeypatch, ag34):
     walk = codes_module._walk
     walked = []
 
-    def spy(basis, length, start, stop):
-        for words, weights in walk(basis, length, start, stop):
+    def spy(basis, length):
+        for words, weights in walk(basis, length):
             walked.append(words.shape[1])
             yield words, weights
 
@@ -389,12 +389,11 @@ def test_search_constants_are_derived(ag34, e1_found, e1_block):
 
 def _reference_scan(args):
     """The scan before the class-count table: XOR each candidate into every span word."""
-    (start, stop, combos, fixed, class_masks, lo, hi, rows, room, r, lam, need) = args
+    (combos, fixed, class_masks, lo, hi, rows, room, r, lam, need) = args
     last_bit = 1 << (len(room) - 1)
     par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
     found = []
-    for idx in range(start, stop):
-        combo = combos[idx]
+    for idx, combo in enumerate(combos):
         y = last_bit
         for c in (fixed, *combo):
             y |= class_masks[c]
@@ -426,15 +425,14 @@ def _reference_args(ctx):
     """`_reference_scan`'s arguments for every candidate; one limb is padded to two."""
     span = _span_table(_limbs(ctx.basis, ctx.ncols))
     lo, hi = span if len(span) == 2 else (span[0], np.zeros_like(span[0]))
-    combos = _combos(ctx)
     return (
-        0, len(combos), combos, ctx.fixed, ctx.class_masks, lo, hi,
+        _combos(ctx), ctx.fixed, ctx.class_masks, lo, hi,
         ctx.rows, ctx.room, ctx.r, ctx.lam, ctx.need,
     )
 
 
 def _scan_all(ctx):
-    return _scan_range((0, comb(len(ctx.class_masks) - 1, ctx.per_candidate), ctx, _scan_table(ctx)))
+    return _scan(ctx, _scan_table(ctx))
 
 
 def _assert_scan_matches(design, block, resolution=None):
@@ -474,7 +472,7 @@ def test_scan_matches_reference_loop_on_found_e1(e1_found, e1_block):
 
 def _reference_hits(ctx):
     """(candidate, word) for every weight-r word s ^ y meeting no parallel column, from the full span."""
-    _, _, combos, fixed, class_masks, lo, hi, _, room, r, _, _ = _reference_args(ctx)
+    combos, fixed, class_masks, lo, hi, _, room, r, _, _ = _reference_args(ctx)
     par_mask = sum(1 << j for j, c in enumerate(room) if c == 0)
     out = []
     for i, combo in enumerate(combos):
@@ -679,12 +677,12 @@ def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_res
             expanded = _spy(m, "_expand")
             popcounts = _spy(m, "_popcount")
             filled = _spy(m, "_fill")
-            assert _scan_range((0, 3876, ctx, table)) == []
+            assert _scan(ctx, table) == []
         assert (expanded, popcounts, filled) == ([], [], [])
     ctx = _search_context(ag34, 0, None)
     with monkeypatch.context() as m:
         filled = _spy(m, "_fill")
-        assert len(_scan_range((0, 3876, ctx, _scan_table(ctx)))) == 16
+        assert len(_scan(ctx, _scan_table(ctx))) == 16
     assert len(filled) == 16
 
 
@@ -703,19 +701,6 @@ def test_scan_one_limb_on_planes(monkeypatch):
     assert [rec.candidate_index for rec in result.records] == [
         idx for idx, _, _ in _reference_scan(_reference_args(ctx))
     ]
-    # three candidate ranges, each scanned from its own offset
-    assert embedding_search(planes, 0, workers=3) == result
-
-
-def test_workers_start_one_process_per_range(monkeypatch, pool_sizes):
-    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
-    planes, _ = ag_design(3, 2, 2)
-    single = embedding_search(planes, 0)
-    examined = single.candidates_examined
-    assert examined == 10 and pool_sizes == []
-    for workers in (0, -3, 3, examined, 10**9):
-        assert embedding_search(planes, 0, workers=workers) == single
-    assert pool_sizes == [3, examined, examined]
 
 
 def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
