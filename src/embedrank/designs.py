@@ -334,9 +334,11 @@ def parallel_classes(design: IncidenceStructure) -> list[tuple[int, ...]]:
     """All block sets that partition the points, in lexicographic order.
 
     Exact-cover search: branch on the lowest uncovered point, so every
-    partition is produced exactly once.
+    partition is produced exactly once.  Empty blocks raise WrongParameters.
     """
     k = design.uniform_k()
+    if not k:
+        raise WrongParameters("the blocks are empty, so no set of them partitions the points")
     if design.v % k:
         return []
     masks = design.block_masks()

@@ -299,7 +299,7 @@ def _search_context(
         mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
         for mask, x in zip(dpp.point_masks(), dpp.point_labels)
     ]
-    room = _room(rows, ncols, params.k)
+    room = _room(params.k, dpp.block_sizes() + [len(blk) for blk in par_blocks])
     if sum(room) != params.k * params.r:
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
     rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
@@ -334,9 +334,13 @@ def _class_masks(res: Resolution, width: int) -> list[int]:
     return masks
 
 
-def _room(rows: list[int], ncols: int, k: int) -> list[int]:
-    """k minus each column's sum over `rows`: the new rows each column still takes."""
-    return [k - sum(row >> j & 1 for row in rows) for j in range(ncols)]
+def _room(k: int, sizes: list[int]) -> list[int]:
+    """The new rows each column still takes: k minus each block's size, then k.
+
+    A column's sum over the old point rows is the size of the block it
+    stands for, and no old row meets the last column.
+    """
+    return [k - size for size in sizes] + [k]
 
 
 def _fill(cands: list[int], need: int, lam: int, room: list[int]) -> list[tuple[int, ...]]:
@@ -623,7 +627,7 @@ def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
         for w in words
         if w >> b & 1 and all((w & r).bit_count() == lamp for r in old_rows)
     ]
-    solutions = _fill(cands, vp - design.v, lamp, _room(old_rows, b + 1, kp))
+    solutions = _fill(cands, vp - design.v, lamp, _room(kp, design.block_sizes()))
 
     # Digest -> design, one per isomorphism class.
     out: dict[str, IncidenceStructure] = {}

@@ -6,31 +6,31 @@ subspaces of GF(q)^(n+1) (normalized representatives, first nonzero
 coordinate 1), blocks the (d+1)-dimensional subspaces.
 
 Everything is enumerated in a fixed order so repeated runs are identical:
-field elements by their integer encoding, vectors lexicographically, and
+field elements by their integer encoding, vectors lexicographically (a
+vector's index is its base-q value, first coordinate most significant), and
 subspaces by their reduced-row-echelon canonical matrices (pivot columns in
 lexicographic order, then free entries odometer-style).
+
+Vectors are numpy digit rows, and field arithmetic is a gather from the
+field's addition and multiplication tables.  A subspace's q^d vectors are
+its RREF basis combined with every coefficient row, in `product` order.  The
+least point of an AG coset is its one point that is zero at the basis's pivot
+columns, so the cosets of a subspace are listed from those points upward:
+by least contained point, as a walk over uncovered start points lists them.
+A PG subspace's normalized vectors are the combinations whose first nonzero
+coefficient is 1, since that coefficient is the vector's value at its pivot.
+Blocks are handed over unsorted; IncidenceStructure sorts each one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
+
 from .designs import IncidenceStructure, Resolution
 from .errors import WrongParameters
 from .fields import FieldSpec, field_from_order
-
-Vector = tuple[int, ...]
-
-
-def _vec_add(spec: FieldSpec, a: Vector, b: Vector) -> Vector:
-    add = spec.add
-    return tuple(add[x][y] for x, y in zip(a, b))
-
-
-def _vec_scale(spec: FieldSpec, s: int, a: Vector) -> Vector:
-    mul = spec.mul
-    row = mul[s]
-    return tuple(row[x] for x in a)
 
 
 def _rref_subspaces(spec: FieldSpec, ambient: int, dim: int):
@@ -57,35 +57,28 @@ def _rref_subspaces(spec: FieldSpec, ambient: int, dim: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _span(spec: FieldSpec, basis) -> list[Vector]:
-    """All GF(q)-combinations of the basis rows (q^dim vectors)."""
-    q = spec.order
-    dim = len(basis)
-    ambient = len(basis[0])
-    zero = tuple([0] * ambient)
-    out = []
-    for coeffs in product(range(q), repeat=dim):
-        vec = zero
-        for c, row in zip(coeffs, basis):
-            if c:
-                vec = _vec_add(spec, vec, _vec_scale(spec, c, row))
-        out.append(vec)
-    return out
+def _field(q: int):
+    """GF(q) with its addition and multiplication tables as int16 arrays."""
+    spec = field_from_order(q)
+    return spec, np.array(spec.add, dtype=np.int16), np.array(spec.mul, dtype=np.int16)
 
 
-def _point_index(vec: Vector, q: int) -> int:
-    idx = 0
-    for x in vec:
-        idx = idx * q + x
-    return idx
+def _coefficients(q: int, k: int) -> np.ndarray:
+    """All q^k rows over 0..q-1 in `product` order, first entry most significant."""
+    return np.indices((q,) * k, dtype=np.int16).reshape(k, -1).T
 
 
-def _index_point(idx: int, q: int, n: int) -> Vector:
-    digits = []
-    for _ in range(n):
-        digits.append(idx % q)
-        idx //= q
-    return tuple(reversed(digits))
+def _combine(add: np.ndarray, mul: np.ndarray, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The combination of the basis rows by each coefficient row, as digit rows."""
+    vecs = np.zeros((len(coeffs), basis.shape[1]), dtype=np.int16)
+    for c, row in zip(coeffs.T, basis):
+        vecs = add[vecs, mul[c[:, None], row]]
+    return vecs
+
+
+def _places(q: int, length: int) -> np.ndarray:
+    """Place values of a base-q digit row, first digit most significant."""
+    return np.array([q**e for e in range(length - 1, -1, -1)], dtype=np.int32)
 
 
 def ag_design(n: int, q: int, d: int) -> tuple[IncidenceStructure, Resolution]:
@@ -97,28 +90,24 @@ def ag_design(n: int, q: int, d: int) -> tuple[IncidenceStructure, Resolution]:
     """
     if not 1 <= d < n:
         raise WrongParameters("need 1 <= d < n")
-    spec = field_from_order(q)
-    npoints = q**n
-    blocks: list[tuple[int, ...]] = []
+    spec, add, mul = _field(q)
+    places = _places(q, n)
+    coeffs = _coefficients(q, d)
+    offsets = _coefficients(q, n - d)
+    blocks: list[list[int]] = []
     classes: list[tuple[int, ...]] = []
-    for basis in _rref_subspaces(spec, n, d):
-        members = sorted(_point_index(v, q) for v in _span(spec, basis))
-        covered = [False] * npoints
-        cls = []
-        for start in range(npoints):
-            if covered[start]:
-                continue
-            rep = _index_point(start, q, n)
-            coset = sorted(
-                _point_index(_vec_add(spec, rep, _index_point(m, q, n)), q)
-                for m in members
-            )
-            for x in coset:
-                covered[x] = True
-            cls.append(len(blocks))
-            blocks.append(tuple(coset))
-        classes.append(tuple(cls))
-    design = IncidenceStructure(npoints, blocks, name=f"AG_{d}({n},{q})")
+    for rows in _rref_subspaces(spec, n, d):
+        basis = np.array(rows, dtype=np.int16)
+        members = _combine(add, mul, coeffs, basis)
+        # The cosets' least points: zero at the pivots, ascending.
+        free = np.ones(n, dtype=bool)
+        free[[row.index(1) for row in rows]] = False
+        starts = np.zeros((len(offsets), n), dtype=np.int16)
+        starts[:, free] = offsets
+        cosets = add[starts[:, None, :], members] @ places
+        classes.append(tuple(range(len(blocks), len(blocks) + len(cosets))))
+        blocks.extend(cosets.tolist())
+    design = IncidenceStructure(q**n, blocks, name=f"AG_{d}({n},{q})")
     return design, Resolution(classes=tuple(classes))
 
 
@@ -126,23 +115,18 @@ def pg_design(n: int, q: int, d: int) -> IncidenceStructure:
     """The 2-design of d-subspaces of PG(n, q)."""
     if not 1 <= d < n:
         raise WrongParameters("need 1 <= d < n")
-    spec = field_from_order(q)
+    spec, add, mul = _field(q)
     ambient = n + 1
-
-    points: list[Vector] = []
-    for lead in range(ambient - 1, -1, -1):
-        for rest in product(range(q), repeat=ambient - 1 - lead):
-            points.append(tuple([0] * lead) + (1,) + rest)
-    index = {v: i for i, v in enumerate(points)}
-
-    inv = [0] + [spec.inv(a) for a in range(1, q)]
-    blocks = []
-    for basis in _rref_subspaces(spec, ambient, d + 1):
-        members = set()
-        for vec in _span(spec, basis):
-            first = next((x for x in vec if x), 0)
-            if not first:
-                continue
-            members.add(index[_vec_scale(spec, inv[first], vec)])
-        blocks.append(tuple(sorted(members)))
-    return IncidenceStructure(len(points), blocks, name=f"PG_{d}({n},{q})")
+    # The normalized vectors in point order: those with e free trailing
+    # coordinates are the values q^e .. 2q^e - 1, for e = 0, 1, ...
+    values = np.concatenate([np.arange(q**e, 2 * q**e, dtype=np.int32) for e in range(ambient)])
+    index = np.zeros(q**ambient, dtype=np.int32)
+    index[values] = np.arange(len(values), dtype=np.int32)
+    places = _places(q, ambient)
+    coeffs = _coefficients(q, d + 1)
+    normal = coeffs[[next(filter(None, c), 0) == 1 for c in coeffs.tolist()]]
+    blocks = [
+        index[_combine(add, mul, normal, np.array(rows, dtype=np.int16)) @ places].tolist()
+        for rows in _rref_subspaces(spec, ambient, d + 1)
+    ]
+    return IncidenceStructure(len(values), blocks, name=f"PG_{d}({n},{q})")

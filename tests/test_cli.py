@@ -257,6 +257,18 @@ def test_resolutions_cli(k4_file, capsys):
     assert len(report["resolutions"][0]) == 3
 
 
+@pytest.mark.parametrize("payload", [b"3 1\n\n", b"0 1\n\n"], ids=["v3", "v0"])
+def test_resolutions_empty_blocks_exits_one(tmp_path, capsys, payload):
+    path = tmp_path / "empty.des"
+    path.write_bytes(payload)
+    assert run(["resolutions", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "WrongParameters"
+    assert err["message"]
+
+
 def test_goodblocks_cli(tmp_path, capsys):
     path = tmp_path / "plane3.des"
     assert run(["gen", "ag", "2", "3", "1", "-o", str(path)]) == 0

@@ -293,7 +293,7 @@ def test_fill_matches_brute_force_on_planes():
     vp, kp, lamp = quasi_residual_params(8, 4, 3)
     cands = codewords_of_weight(sym_embedding_code(planes), kp)
     need = vp - planes.v
-    room = _room(planes.point_masks(), planes.b + 1, kp)
+    room = _room(kp, planes.block_sizes())
     assert (len(cands), need) == (15, 7)
     found = _fill(cands, need, lamp, room)
     assert found == _fill_oracle(cands, need, lamp, room)
@@ -381,6 +381,22 @@ def test_search_constants_are_derived(ag34, e1_found, e1_block):
         assert (ctx.need, ctx.lam, ctx.r, ctx.per_candidate) == (16, 5, 21, 4)
         assert ctx.ncols == design.b
         assert ctx.room.count(0) == 3 and ctx.room[-1] == ctx.need
+
+
+def _bit_count_room(rows, ncols, k):
+    """k minus each column's sum over the point rows."""
+    return [k - sum(row >> j & 1 for row in rows) for j in range(ncols)]
+
+
+def test_room_is_k_minus_column_sums(monkeypatch, ag34, e1_found, e1_block, e1, e2):
+    for design, block in ((ag34, 0), (ag34, 5), (ag34, 40), (ag34, 83), (e1_found, e1_block)):
+        ctx = _search_context(design, block, None)
+        assert ctx.room == _bit_count_room(ctx.rows, ctx.ncols, ctx.need)
+    fills = _spy(monkeypatch, "_fill")
+    for design in (ag34, e1, e2):
+        kp = sym_embedding_search(design).target_params[1]
+        assert fills[-1][3] == _bit_count_room(design.point_masks(), design.b + 1, kp)
+    assert len(fills) == 3
 
 
 # ---------------------------------------------------------------------------

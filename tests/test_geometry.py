@@ -1,11 +1,150 @@
 """Finite-geometry designs: flats of AG(n, q) and subspaces of PG(n, q)."""
 
+import hashlib
+from itertools import product
+
 import pytest
 
-from embedrank.designs import is_affine_resolvable, make_resolution, verify_tdesign
+from embedrank.designs import (
+    IncidenceStructure,
+    Resolution,
+    emit_des,
+    is_affine_resolvable,
+    make_resolution,
+    verify_tdesign,
+)
 from embedrank.errors import WrongParameters
-from embedrank.geometry import ag_design, pg_design
+from embedrank.fields import field_from_order
+from embedrank.geometry import _rref_subspaces, ag_design, pg_design
 from embedrank.iso import are_isomorphic
+
+
+# Reference builders: one vector at a time in pure Python, from the field's
+# tuple tables.  The numpy builders must reproduce them exactly.
+
+def _vec_add(spec, a, b):
+    return tuple(spec.add[x][y] for x, y in zip(a, b))
+
+
+def _vec_scale(spec, s, a):
+    return tuple(spec.mul[s][x] for x in a)
+
+
+def _span(spec, basis):
+    """All GF(q)-combinations of the basis rows, coefficients in `product` order."""
+    out = []
+    for coeffs in product(range(spec.order), repeat=len(basis)):
+        vec = tuple([0] * len(basis[0]))
+        for c, row in zip(coeffs, basis):
+            if c:
+                vec = _vec_add(spec, vec, _vec_scale(spec, c, row))
+        out.append(vec)
+    return out
+
+
+def _point_index(vec, q):
+    idx = 0
+    for x in vec:
+        idx = idx * q + x
+    return idx
+
+
+def _index_point(idx, q, n):
+    digits = []
+    for _ in range(n):
+        digits.append(idx % q)
+        idx //= q
+    return tuple(reversed(digits))
+
+
+def _reference_ag_design(n, q, d):
+    """Cosets of each subspace, from the least uncovered start point upward."""
+    spec = field_from_order(q)
+    npoints = q**n
+    blocks, classes = [], []
+    for basis in _rref_subspaces(spec, n, d):
+        members = sorted(_point_index(v, q) for v in _span(spec, basis))
+        covered = [False] * npoints
+        cls = []
+        for start in range(npoints):
+            if covered[start]:
+                continue
+            rep = _index_point(start, q, n)
+            coset = sorted(
+                _point_index(_vec_add(spec, rep, _index_point(m, q, n)), q) for m in members
+            )
+            for x in coset:
+                covered[x] = True
+            cls.append(len(blocks))
+            blocks.append(tuple(coset))
+        classes.append(tuple(cls))
+    design = IncidenceStructure(npoints, blocks, name=f"AG_{d}({n},{q})")
+    return design, Resolution(classes=tuple(classes))
+
+
+def _reference_pg_design(n, q, d):
+    """Each subspace's nonzero vectors, scaled to first nonzero coordinate 1."""
+    spec = field_from_order(q)
+    ambient = n + 1
+    points = []
+    for lead in range(ambient - 1, -1, -1):
+        for rest in product(range(q), repeat=ambient - 1 - lead):
+            points.append(tuple([0] * lead) + (1,) + rest)
+    index = {v: i for i, v in enumerate(points)}
+    inv = [0] + [spec.inv(a) for a in range(1, q)]
+    blocks = []
+    for basis in _rref_subspaces(spec, ambient, d + 1):
+        members = set()
+        for vec in _span(spec, basis):
+            first = next((x for x in vec if x), 0)
+            if first:
+                members.add(index[_vec_scale(spec, inv[first], vec)])
+        blocks.append(tuple(sorted(members)))
+    return IncidenceStructure(len(points), blocks, name=f"PG_{d}({n},{q})")
+
+
+AG_GRID = [
+    (2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (2, 7, 1), (2, 8, 1), (2, 9, 1),
+    (3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2), (3, 4, 1), (3, 5, 1), (3, 5, 2),
+    (3, 7, 2), (3, 8, 2), (3, 9, 2), (4, 2, 1), (4, 2, 2), (4, 2, 3), (4, 3, 1),
+    (4, 3, 3), (5, 2, 1), (5, 2, 2), (5, 2, 3), (5, 2, 4), (5, 3, 4),
+]
+PG_GRID = [
+    (2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 5, 1), (2, 7, 1), (2, 8, 1), (2, 9, 1),
+    (3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2), (3, 4, 1), (3, 5, 2), (4, 2, 1),
+    (4, 2, 2), (4, 2, 3), (4, 3, 3), (5, 2, 2), (5, 2, 4),
+]
+
+
+@pytest.mark.parametrize("n,q,d", AG_GRID)
+def test_ag_matches_reference(n, q, d):
+    design, resolution = ag_design(n, q, d)
+    ref, ref_resolution = _reference_ag_design(n, q, d)
+    assert (design.v, design.blocks, design.name) == (ref.v, ref.blocks, ref.name)
+    assert resolution.classes == ref_resolution.classes
+    assert all(type(x) is int for blk in design.blocks for x in blk)
+
+
+@pytest.mark.parametrize("n,q,d", PG_GRID)
+def test_pg_matches_reference(n, q, d):
+    design, ref = pg_design(n, q, d), _reference_pg_design(n, q, d)
+    assert (design.v, design.blocks, design.name) == (ref.v, ref.blocks, ref.name)
+    assert all(type(x) is int for blk in design.blocks for x in blk)
+
+
+# SHA-256 of the .des text, as written by the pure-Python builders.
+DES_SHA256 = {
+    ("ag", 3, 4, 2): "aa73dab7fd3f52a85c1a1945af9e67d0a83c04d2268cbf6b142c501a7eaea6fb",
+    ("ag", 4, 4, 3): "18b086d5485cb47a601194e8b13a88c5a50532815c11b319af9dc151fe971709",
+    ("pg", 3, 4, 2): "2b92c491371429034c0d0caa90fc01cf912e13b837b01dc7970cd24bc1b0ceb6",
+}
+
+
+@pytest.mark.parametrize("kind,n,q,d", sorted(DES_SHA256))
+def test_des_digest_pinned(kind, n, q, d):
+    design = ag_design(n, q, d)[0] if kind == "ag" else pg_design(n, q, d)
+    digest = hashlib.sha256(emit_des(design).encode()).hexdigest()
+    assert digest == DES_SHA256[kind, n, q, d]
 
 
 def gauss(n: int, k: int, q: int) -> int:
