@@ -39,10 +39,10 @@ class IncidenceStructure:
         self.v = int(v)
         blks = []
         for blk in blocks:
-            t = tuple(sorted(int(x) for x in blk))
-            for x in t:
-                if not 0 <= x < self.v:
-                    raise BadIndex(f"point {x} outside 0..{self.v - 1}")
+            t = tuple(sorted(map(int, blk)))
+            if t and (t[0] < 0 or t[-1] >= self.v):
+                x = next(x for x in t if not 0 <= x < self.v)
+                raise BadIndex(f"point {x} outside 0..{self.v - 1}")
             if len(set(t)) != len(t):
                 raise BadIndex("repeated point inside a block")
             blks.append(t)
@@ -123,13 +123,21 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class Resolution:
-    """A partition of the block indices into parallel classes.
+    """A partition of the block indices 0..m-1 into parallel classes.
 
-    Each class is an ascending tuple of block indices whose blocks are pairwise
-    disjoint and together cover every point.  class_size is blocks per class.
+    Each class is a tuple of block indices; every index 0..m-1 lies in
+    exactly one class, which the constructor checks (WrongParameters
+    otherwise), so a Resolution is a partition by construction.  That its
+    classes are parallel classes of a design is make_resolution's check.
+    class_size is blocks per class.
     """
 
     classes: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        indices = sorted(j for cls in self.classes for j in cls)
+        if indices != list(range(len(indices))):
+            raise WrongParameters("the classes do not partition the indices 0..m-1")
 
     @property
     def num_classes(self) -> int:
@@ -142,30 +150,37 @@ class Resolution:
     def as_sets(self) -> frozenset:
         return frozenset(frozenset(c) for c in self.classes)
 
+    def masks(self) -> list[int]:
+        """Each class as a bitmask of its indices."""
+        return [sum(1 << j for j in cls) for cls in self.classes]
+
 
 def make_resolution(design: IncidenceStructure, classes) -> Resolution:
-    """Validate and normalize a candidate resolution of `design`."""
-    norm = tuple(tuple(sorted(int(j) for j in cls)) for cls in classes)
-    seen: set[int] = set()
+    """Validate and normalize a candidate resolution of `design`.
+
+    BadIndex for a block index outside the design; WrongParameters unless the
+    classes partition the block list (the Resolution's own check) and each is
+    a parallel class: pairwise disjoint blocks covering every point.  Classes
+    come back ascending, each sorted.
+    """
+    norm = tuple(sorted(tuple(sorted(int(j) for j in cls)) for cls in classes))
+    for cls in norm:
+        for j in cls:
+            _check_block_index(design, j)
+    if sum(map(len, norm)) != design.b:
+        raise WrongParameters("classes do not partition the block list")
+    resolution = Resolution(classes=norm)
     full = (1 << design.v) - 1
     masks = design.block_masks()
     for cls in norm:
         cover = 0
         for j in cls:
-            if not 0 <= j < design.b:
-                raise BadIndex(f"block index {j} outside 0..{design.b - 1}")
-            if j in seen:
-                raise WrongParameters("classes overlap")
-            seen.add(j)
             if cover & masks[j]:
                 raise WrongParameters(f"class {cls} is not a parallel class")
             cover |= masks[j]
         if cover != full:
             raise WrongParameters(f"class {cls} does not cover the point set")
-    if len(seen) != design.b:
-        raise WrongParameters("classes do not partition the block list")
-    ordered = tuple(sorted(norm))
-    return Resolution(classes=ordered)
+    return resolution
 
 
 def verify_tdesign(design: IncidenceStructure, t: int):

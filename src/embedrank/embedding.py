@@ -42,6 +42,7 @@ from .designs import (
     _affine_resolution,
     affine_family,
     good_block,
+    make_resolution,
     residual,
     verify_tdesign,
 )
@@ -121,8 +122,9 @@ def _union_basis(code: LinearCode, masks: list[int]) -> list[int]:
 def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, cap: int | None = None):
     """Weight-w codewords whose support is a union of classes of `resolution`.
 
-    The code is binary, and the resolution's classes are disjoint sets of its
-    coordinates that together cover all of them (WrongParameters otherwise).
+    The code is binary, and the resolution partitions its coordinates: a
+    Resolution is a partition of 0..m-1 by construction, so only m must equal
+    the code length (WrongParameters otherwise).
     These codewords are the subcode C ∩ V, V the span of the class
     indicators; _union_basis spans it, and only that subcode is walked:
     2^dim(C ∩ V) words, never more than the 2^dim(C) of the whole code.  The
@@ -132,21 +134,11 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
     """
     if code.p != 2:
         raise WrongParameters("parallel-union codewords are implemented over GF(2)")
-    masks = []
-    seen = 0
-    for cls in resolution.classes:
-        m = 0
-        for j in cls:
-            if not 0 <= j < code.length:
-                raise WrongParameters("resolution indexes outside the code length")
-            m |= 1 << j
-        if m & seen:
-            raise WrongParameters("resolution classes overlap")
-        seen |= m
-        masks.append(m)
     _check_cap(code, cap)
-    if seen != (1 << code.length) - 1:
-        raise WrongParameters("resolution classes leave coordinates uncovered")
+    m = sum(map(len, resolution.classes))
+    if m != code.length:
+        raise WrongParameters(f"the resolution partitions {m} coordinates, not the code's {code.length}")
+    masks = resolution.masks()
     sub = code_from_bitrows(_union_basis(code, masks), code.length)
     words = _weight_words(sub.basis_bits, sub.length, w)
     return sorted(words, key=lambda word: _walk_index(code, word))
@@ -282,7 +274,12 @@ def _search_context(
         )
     params = affine_family(design).params
     dpp = gb.substructure
-    res = resolution if resolution is not None else gb.resolution
+    res = gb.resolution
+    if resolution is not None:
+        # Raises unless it resolves the substructure; the caller's class
+        # order stays, since candidate indices follow it.
+        make_resolution(dpp, resolution.classes)
+        res = resolution
     ncols = dpp.b + len(gb.parallel) + 1
     if ncols > 128:
         raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
@@ -290,7 +287,6 @@ def _search_context(
     removed = set(design.blocks[block_idx])
     if any(x in removed for x in dpp.point_labels):
         raise InternalCheckFailed("a residual row meets the removed block")
-    class_masks = _class_masks(res, dpp.b)
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
@@ -304,34 +300,12 @@ def _search_context(
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
     rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
     least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
-    fixed = next((c for c, cls in enumerate(res.classes) if least_block in cls), None)
-    if fixed is None:
-        raise InternalCheckFailed("no parallel class holds the least substructure block")
+    fixed = next(c for c, cls in enumerate(res.classes) if least_block in cls)
     return _SearchContext(
         params=params, ncols=ncols, rows=rows, basis=rref.bits,
-        class_masks=class_masks, fixed=fixed, room=room,
+        class_masks=res.masks(), fixed=fixed, room=room,
         r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
-
-
-def _class_masks(res: Resolution, width: int) -> list[int]:
-    """The classes as bitmasks, checked of one nonzero size, pairwise disjoint and below `width`."""
-    size = res.class_size
-    if not size:
-        raise InternalCheckFailed("the resolution has no nonempty class")
-    masks: list[int] = []
-    seen = 0
-    for cls in res.classes:
-        if len(cls) != size or len(set(cls)) != size:
-            raise InternalCheckFailed("parallel classes differ in size")
-        if not all(0 <= j < width for j in cls):
-            raise InternalCheckFailed("a parallel class indexes past the substructure's blocks")
-        m = sum(1 << j for j in cls)
-        if m & seen:
-            raise InternalCheckFailed("parallel classes overlap")
-        seen |= m
-        masks.append(m)
-    return masks
 
 
 def _room(k: int, sizes: list[int]) -> list[int]:
@@ -532,6 +506,11 @@ def embedding_search(
     and tested.  Designs are deduplicated per
     candidate by canonical form and classified into isomorphism classes
     across candidates.  Only the `_SEARCH_SIZES` instances are searched.
+
+    `resolution` defaults to the one the good block induces.  One passed in
+    must be a resolution of the good block's substructure (its blocks in
+    GoodBlock.substructure order), else WrongParameters; its class order
+    fixes the candidate indices.
     """
     _single_process(workers)
     ctx = _search_context(design, block_idx, resolution)

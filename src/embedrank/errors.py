@@ -29,10 +29,6 @@ class NoField(EmbedrankError):
     """The requested order is not a prime power, so no field exists."""
 
 
-class SpecMismatch(EmbedrankError):
-    """Operands belong to different fields or moduli."""
-
-
 class TooLarge(EmbedrankError):
     """An input exceeds a documented size bound (e.g. p >= 256)."""
 

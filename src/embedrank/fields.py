@@ -25,7 +25,6 @@ from .errors import (
     NoField,
     NonPrimeModulus,
     ReduciblePolynomial,
-    WrongParameters,
     ZeroInverse,
 )
 
@@ -116,9 +115,6 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.t
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.order)
-
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
@@ -127,38 +123,6 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         digits = _digits(a, self.p, self.t)
         return _undigits([(-d) % self.p for d in digits], self.p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element tagged with its field, mostly for arithmetic sugar."""
-
-    spec: FieldSpec
-    value: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec is not other.spec and self.spec != other.spec:
-            from .errors import SpecMismatch
-
-            raise SpecMismatch("elements of different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add[self.value][other.value])
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul[self.value][other.value])
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add[self.value][self.spec.neg(other.value)])
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, pow_element(self.spec, self.value, e))
 
 
 def _digits(a: int, p: int, t: int) -> list[int]:
@@ -243,20 +207,3 @@ def pow_element(spec: FieldSpec, a: int, e: int) -> int:
         base = mul[base][base]
         e >>= 1
     return result
-
-
-def field_arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
-    """Scalar arithmetic on encoded elements: add/sub/mul/inv/pow/neg."""
-    if op == "add":
-        return spec.add[a % spec.order][b % spec.order]
-    if op == "sub":
-        return spec.add[a % spec.order][spec.neg(b)]
-    if op == "mul":
-        return spec.mul[a % spec.order][b % spec.order]
-    if op == "inv":
-        return spec.inv(a)
-    if op == "neg":
-        return spec.neg(a)
-    if op == "pow":
-        return pow_element(spec, a, b)
-    raise WrongParameters(f"unknown operation {op!r}")

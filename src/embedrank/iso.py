@@ -467,18 +467,6 @@ class PermGroup:
     def order(self) -> int:
         return self.size
 
-    def _orbit_partition(self, lo: int, hi: int) -> list[list[int]]:
-        return _orbit_lists(_orbit_labels(self.generators, self.degree), lo, hi)
-
-    def point_orbits(self) -> list[list[int]]:
-        return self._orbit_partition(0, self.n_points)
-
-    def block_orbits(self) -> list[list[int]]:
-        return [
-            [x - self.n_points for x in orb]
-            for orb in self._orbit_partition(self.n_points, self.degree)
-        ]
-
 
 def _orbit_lists(labels: np.ndarray, lo: int, hi: int) -> list[list[int]]:
     """The orbits met by lo .. hi - 1, each ascending, ordered by their minimum."""
@@ -490,10 +478,12 @@ def _orbit_lists(labels: np.ndarray, lo: int, hi: int) -> list[list[int]]:
 
 def orbits(group: PermGroup, domain: str) -> list[list[int]]:
     """Orbit partition on "points" or "blocks" (block vertex ids shifted back)."""
+    n = group.n_points
+    labels = _orbit_labels(group.generators, group.degree)
     if domain == "points":
-        return group.point_orbits()
+        return _orbit_lists(labels, 0, n)
     if domain == "blocks":
-        return group.block_orbits()
+        return [[x - n for x in orb] for orb in _orbit_lists(labels, n, group.degree)]
     raise WrongParameters(f"unknown domain {domain!r}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from embedrank.designs import (
     GoodBlock,
     IncidenceStructure,
+    Resolution,
     affine_family,
     derived,
     emit_des,
@@ -132,6 +133,15 @@ def test_resolutions_limit(k4_edges):
         resolutions(k4_edges, limit=0)
 
 
+def test_resolution_is_a_partition():
+    res = Resolution(((2, 0), (1, 3)))
+    assert res.masks() == [0b101, 0b1010]
+    assert Resolution(()).masks() == []
+    for classes in [((0, 1), (1, 2)), ((0, 2),), ((-1, 0),), ((0, 0),), ((1,),)]:
+        with pytest.raises(WrongParameters):
+            Resolution(classes)
+
+
 def test_make_resolution_validation(k4_edges):
     good = [(0, 5), (1, 4), (2, 3)]
     res = make_resolution(k4_edges, good)
@@ -142,6 +152,10 @@ def test_make_resolution_validation(k4_edges):
         make_resolution(k4_edges, [(0, 5), (1, 4)])  # does not partition
     with pytest.raises(BadIndex):
         make_resolution(k4_edges, [(0, 9), (1, 4), (2, 3)])
+    with pytest.raises(BadIndex):
+        make_resolution(k4_edges, [(0, 9), (0, 4), (2, 3)])  # the range check comes first
+    with pytest.raises(WrongParameters):
+        make_resolution(k4_edges, [])  # partitions no blocks, not all six
 
 
 def test_good_block_structure(ag34_gb):
@@ -399,3 +413,12 @@ def test_block_constructor_validation():
         IncidenceStructure(3, [(0, 3)])
     with pytest.raises(BadIndex):
         IncidenceStructure(3, [(1, 1)])
+    # the least out-of-range point is named, and the range check comes before the repeat check
+    with pytest.raises(BadIndex, match=r"^point 7 outside 0\.\.4$"):
+        IncidenceStructure(5, [(0, 1), (9, 1, 7)])
+    with pytest.raises(BadIndex, match=r"^point 7 outside 0\.\.4$"):
+        IncidenceStructure(5, [(9, 2, 7, 2)])
+    with pytest.raises(BadIndex, match=r"^point -2 outside 0\.\.4$"):
+        IncidenceStructure(5, [(3, -1, -2)])
+    with pytest.raises(BadIndex, match="^repeated point inside a block$"):
+        IncidenceStructure(5, [(4, 0, 4)])

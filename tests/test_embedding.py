@@ -59,8 +59,9 @@ from embedrank.errors import (
     NotGoodBlock,
     WrongParameters,
 )
+from embedrank.expected import E1_DIGEST
 from embedrank.geometry import ag_design, pg_design
-from embedrank.iso import are_isomorphic, resolution_orbits
+from embedrank.iso import are_isomorphic, canonical_cert, resolution_orbits
 from embedrank.linalg import MatGFp, mat_rank, mat_rref
 
 
@@ -135,6 +136,10 @@ def test_parallel_union_validation(k4_edges):
     # coordinates 1-4 lie in no class: no word may be called a union of classes
     with pytest.raises(WrongParameters):
         parallel_union_codewords(code, Resolution(classes=((0, 5),)), 4)
+    # a partition of fewer or more indices than the code's 6 coordinates
+    for m in (4, 8):
+        with pytest.raises(WrongParameters):
+            parallel_union_codewords(code, Resolution(classes=((*range(m),),)), 4)
 
 
 def test_parallel_union_trivial_subcode(k4_edges):
@@ -458,6 +463,15 @@ def _assert_scan_matches(design, block, resolution=None):
     return found
 
 
+def _relabeled(design, rng):
+    """The design with its points renumbered and its blocks reordered by `rng`."""
+    perm = list(range(design.v))
+    rng.shuffle(perm)
+    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
+    rng.shuffle(blocks)
+    return IncidenceStructure(design.v, blocks)
+
+
 def _non_good_resolutions(gb, group, res_list):
     """One resolution from each Aut(D'')-orbit that misses the good block's resolution."""
     good = gb.resolution.as_sets()
@@ -474,16 +488,22 @@ def test_scan_matches_reference_loop(ag34, ag34_gb, dpp_group, dpp_resolutions):
         assert _assert_scan_matches(ag34, 0, res) == []
     # a relabeled AG_2(3,4) at a seeded block; every block of it is good
     rng = random.Random(11)
-    perm = list(range(ag34.v))
-    rng.shuffle(perm)
-    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in ag34.blocks]
-    rng.shuffle(blocks)
-    relabeled = IncidenceStructure(ag34.v, blocks)
+    relabeled = _relabeled(ag34, rng)
     assert len(_assert_scan_matches(relabeled, rng.randrange(relabeled.b))) == 16
 
 
 def test_scan_matches_reference_loop_on_found_e1(e1_found, e1_block):
     assert len(_assert_scan_matches(e1_found, e1_block)) == 16
+
+
+def test_search_classes_invariant_under_relabeling(ag34):
+    # the full search on a relabeled AG_2(3,4) at a seeded block finds the
+    # same two classes, with the same multiplicities, as at block 0
+    rng = random.Random(1)
+    relabeled = _relabeled(ag34, rng)
+    result = embedding_search(relabeled, rng.randrange(relabeled.b))
+    classes = {canonical_cert(rep).digest: n for rep, n in result.iso_classes}
+    assert classes == {canonical_cert(ag34).digest: 4, E1_DIGEST: 12}
 
 
 def _reference_hits(ctx):
@@ -723,24 +743,34 @@ def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
     dpp = ag34_gb.substructure
     classes = [list(cls) for cls in ag34_gb.resolution.classes]
 
-    def fails(match, classes=None):
-        res = Resolution(tuple(tuple(c) for c in classes)) if classes is not None else None
-        with pytest.raises(InternalCheckFailed, match=match):
-            _search_context(ag34, 0, res)
+    def internal(match, **fields):
+        # good_block hands the search a GoodBlock that breaks one of its premises
+        with monkeypatch.context() as m:
+            m.setattr(embedding, "good_block", lambda d, j: dataclasses.replace(ag34_gb, **fields))
+            with pytest.raises(InternalCheckFailed, match=match):
+                _search_context(ag34, 0, None)
+
+    def rejected(classes):
+        with pytest.raises(WrongParameters):
+            embedding_search(ag34, 0, resolution=Resolution(tuple(tuple(c) for c in classes)))
 
     # the removed block's column is zero in every residual row
     labels = (ag34.blocks[0][0], *dpp.point_labels[1:])
-    moved = IncidenceStructure(dpp.v, dpp.blocks, point_labels=labels)
-    with monkeypatch.context() as m:
-        m.setattr(embedding, "good_block", lambda d, j: dataclasses.replace(ag34_gb, substructure=moved))
-        fails("removed block")
-    # the classes are pairwise disjoint, of one size, on the substructure's columns
-    fails("overlap", [classes[0], [classes[0][0], *classes[1][1:]], *classes[2:]])
-    fails("differ in size", [classes[0][:-1], *classes[1:]])
-    fails("differ in size", [classes[0], [classes[1][0], *classes[1]], *classes[2:]])
-    fails("past the substructure", [classes[0], [*classes[1][:-1], dpp.b], *classes[2:]])
-    fails("no nonempty class", [])
+    internal("removed block", substructure=IncidenceStructure(dpp.v, dpp.blocks, point_labels=labels))
     # 1 + (per_candidate + 1) * class_size == r fails for classes of 3 blocks
-    fails("union of classes", [range(j, j + 3) for j in range(0, dpp.b - 2, 3)])
-    # the unchanged resolution passes every check
+    threes = Resolution(tuple(tuple(range(j, j + 3)) for j in range(0, dpp.b - 2, 3)))
+    internal("union of classes", resolution=threes)
+    # a caller's classes must partition the substructure's blocks ...
+    rejected([classes[0], [classes[0][0], *classes[1][1:]], *classes[2:]])
+    rejected([classes[0][:-1], *classes[1:]])
+    rejected([classes[0], [classes[1][0], *classes[1]], *classes[2:]])
+    rejected([classes[0], [*classes[1][:-1], dpp.b], *classes[2:]])
+    rejected([])
+    rejected(classes[1:])
+    # ... into parallel classes
+    a, b = classes[0], classes[1]
+    rejected([[b[0], *a[1:]], [a[0], *b[1:]], *classes[2:]])
+    # the unchanged resolution passes every check, and a reordered one keeps its order
     assert _search_context(ag34, 0, ag34_gb.resolution).per_candidate == 4
+    backwards = Resolution(ag34_gb.resolution.classes[::-1])
+    assert _search_context(ag34, 0, backwards).class_masks == ag34_gb.resolution.masks()[::-1]
