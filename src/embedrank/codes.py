@@ -19,7 +19,6 @@ the default.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
@@ -311,36 +310,6 @@ def codewords_of_weight(code: LinearCode, w: int, cap: int | None = None, worker
     else:
         out = [vec.copy() for vec in iter_codewords(code, cap=cap) if int(np.count_nonzero(vec)) == w]
     return out[:1] if w == 0 else out
-
-
-def codeword_to_hex(word: int, length: int) -> str:
-    """Pack a GF(2) word into hex digits, coordinate 0 first.
-
-    The length-n bit string (coordinate 0 leftmost) is right-padded with
-    zeros to a multiple of 4 and each group of 4 becomes one hex digit.
-    """
-    bits = "".join("1" if (word >> i) & 1 else "0" for i in range(length))
-    bits += "0" * (-length % 4)
-    return format(int(bits, 2), f"0{len(bits) // 4}x") if bits else ""
-
-
-def codeword_from_hex(text: str, length: int) -> int:
-    """Inverse of codeword_to_hex for a word of the given length."""
-    text = text.strip()
-    # int(text, 16) alone would also take "0x1f", "f_f", "+f" and non-ASCII digits
-    if not re.fullmatch(r"[0-9a-fA-F]*", text):
-        raise WrongParameters(f"{text!r} is not a string of hex digits")
-    value = int(text, 16) if text else 0
-    nbits = 4 * len(text)
-    if nbits < length:
-        raise BadDimension(f"{len(text)} hex digits cannot hold {length} coordinates")
-    word = 0
-    for i in range(length):
-        if (value >> (nbits - 1 - i)) & 1:
-            word |= 1 << i
-    if value & ((1 << (nbits - length)) - 1):
-        raise BadDimension("nonzero padding bits beyond the stated length")
-    return word
 
 
 def residual_code(code: LinearCode, word) -> LinearCode:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -274,18 +273,6 @@ def derived(design: IncidenceStructure, block_idx: int, keep_empty: bool = False
     return _restrict(design, block_idx, True, keep_empty)
 
 
-def intersection_profile(design: IncidenceStructure) -> dict[int, int]:
-    """Histogram of |B_i cap B_j| over unordered block pairs i < j."""
-    masks = design.block_masks()
-    out: dict[int, int] = {}
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            c = (mi & masks[j]).bit_count()
-            out[c] = out.get(c, 0) + 1
-    return dict(sorted(out.items()))
-
-
 def is_simple(design: IncidenceStructure) -> bool:
     """No repeated blocks and no two points on exactly the same blocks."""
     if len(set(design.blocks)) != design.b:
@@ -479,22 +466,6 @@ def _cuts(design: IncidenceStructure, base: int, skip: int | None = None) -> dic
     return groups
 
 
-def _copies(design: IncidenceStructure, block_idx: int, tag: str):
-    """The cut pass at a block: (distinct cuts, blocks per cut, blocks missing it).
-
-    The distinct nonempty cuts form a design on the block's points, in order
-    of first appearance; the derived design is its copies.
-    """
-    base = design.blocks[block_idx]
-    groups = _cuts(design, design.block_masks()[block_idx], skip=block_idx)
-    missing = groups.pop(0, [])
-    cuts = IncidenceStructure(
-        len(base), [[i for i, x in enumerate(base) if cut >> x & 1] for cut in groups],
-        name=f"{design.name or 'design'} {tag} @{block_idx}", point_labels=base,
-    )
-    return cuts, list(groups.values()), missing
-
-
 def good_block(design: IncidenceStructure, block_idx: int):
     """Test Definition-style goodness of a block of an affine resolvable design.
 
@@ -505,7 +476,17 @@ def good_block(design: IncidenceStructure, block_idx: int):
     """
     _check_block_index(design, block_idx)
     q, n, mu, params, _ = affine_family(design)
-    s, groups, parallel = _copies(design, block_idx, "cut")
+    # The distinct nonempty cuts on the block, in order of first appearance,
+    # form s; the blocks that miss it are the block's parallel class.
+    base = design.block_masks()[block_idx]
+    points = design.blocks[block_idx]
+    cuts = _cuts(design, base, skip=block_idx)
+    parallel = cuts.pop(0, [])
+    groups = list(cuts.values())
+    s = IncidenceStructure(
+        len(points), [[i for i, x in enumerate(points) if cut >> x & 1] for cut in cuts],
+        name=f"{design.name or 'design'} cut @{block_idx}", point_labels=points,
+    )
     if any(len(g) != q for g in groups) or not is_simple(s):
         return None
     expect_k = params.k // q
@@ -523,7 +504,6 @@ def good_block(design: IncidenceStructure, block_idx: int):
     # In the family every other block meets this one in mu points or none:
     # the substructure is the blocks that meet it, cut down to the points off it.
     sub_ids = sorted(j for g in groups for j in g)
-    base = design.block_masks()[block_idx]
     off = [x for x in range(design.v) if not base >> x & 1]
     index = {x: i for i, x in enumerate(off)}
     labels = design.block_labels or range(design.b)
@@ -541,47 +521,6 @@ def good_block(design: IncidenceStructure, block_idx: int):
         s=s, resolution=resolution, substructure=sub,
         parallel=tuple(parallel), q=q, n=n, mu=mu, block_index=block_idx,
     )
-
-
-def normal_block(design: IncidenceStructure, block_idx: int, q: int):
-    """Extract the repeated symmetric subdesign a normal block induces.
-
-    The parent must be a symmetric 2-design with parameters
-    ((q^3 m - 1)/(q - 1), (q^2 m - 1)/(q - 1), (q m - 1)/(q - 1)) for an
-    integer m.  Returns the symmetric design D0 whose q identical copies make
-    up the derived design, or None if the copies do not line up.  The
-    degenerate m = 1 case (D0 has lambda = 0) is reported with a warning.
-    """
-    _check_block_index(design, block_idx)
-    params = verify_tdesign(design, 2)
-    if params is None or not params.symmetric:
-        raise WrongParameters("not a symmetric 2-design")
-    if q < 2:
-        raise WrongParameters("q must be >= 2")
-    num = params.k * (q - 1) + 1
-    if num % (q * q):
-        raise WrongParameters("k does not match (q^2 m - 1)/(q - 1) for integer m")
-    m = num // (q * q)
-    if params.v * (q - 1) != q**3 * m - 1 or params.lam * (q - 1) != q * m - 1:
-        raise WrongParameters("(v, k, lambda) do not match the (q, m) family")
-
-    d0, groups, _ = _copies(design, block_idx, "core")
-    if any(len(g) != q for g in groups):
-        return None
-    lam0, rem = divmod(m - 1, q - 1)
-    if rem:
-        return None
-    if lam0 == 0:
-        # m = 1 collapses the core to distinct singletons; verify_tdesign
-        # cannot apply at k = 1, so check the shape directly.
-        if d0.b == d0.v and all(len(blk) == 1 for blk in d0.blocks):
-            warnings.warn("degenerate core design (lambda = 0): the blocks are singletons")
-            return d0
-        return None
-    d0_params = verify_tdesign(d0, 2)
-    if d0_params is None or not d0_params.symmetric or d0_params.k != params.lam or d0_params.lam != lam0:
-        return None
-    return d0
 
 
 # ---------------------------------------------------------------------------

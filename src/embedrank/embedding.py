@@ -40,6 +40,7 @@ from .designs import (
     IncidenceStructure,
     Resolution,
     _affine_resolution,
+    _check_block_index,
     affine_family,
     good_block,
     make_resolution,
@@ -47,7 +48,6 @@ from .designs import (
     verify_tdesign,
 )
 from .errors import (
-    BadIndex,
     InfeasibleInstance,
     NotGoodBlock,
     InternalCheckFailed,
@@ -71,8 +71,7 @@ class EmbeddabilityReport:
 
 
 def embeddability(design: IncidenceStructure, block_idx: int, p: int = 2) -> EmbeddabilityReport:
-    if not 0 <= block_idx < design.b:
-        raise BadIndex(f"block index {block_idx} out of range")
+    _check_block_index(design, block_idx)
     if len(design.blocks[block_idx]) < 2:
         raise WrongParameters("embeddability needs a block of size >= 2")
     rank_full = mat_rank(design.incidence_matrix(p))

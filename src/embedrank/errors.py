@@ -10,19 +10,11 @@ class EmbedrankError(Exception):
 
 
 class NonPrimeModulus(EmbedrankError):
-    """A field characteristic or matrix modulus is not prime."""
-
-
-class ReduciblePolynomial(EmbedrankError):
-    """A supplied defining polynomial is reducible over GF(p)."""
+    """A matrix modulus is not prime."""
 
 
 class NoDefaultIrreducible(EmbedrankError):
     """No built-in irreducible polynomial for the requested field size."""
-
-
-class ZeroInverse(EmbedrankError):
-    """Multiplicative inverse of zero was requested."""
 
 
 class NoField(EmbedrankError):

@@ -74,7 +74,6 @@ PU_WEIGHT32_BY_ORBIT = {2: 130, 10: 34, 20: 10}
 # resolvable design in the (q, n) = (4, 3) family: at least
 # (p-1)*C(q^{n-1}, 2) parallel-union codewords of weight q^{n-1} are needed.
 THM5_REQUIRED_43 = 120
-THM5_FOUND_AG34 = 130
 
 # Same condition applied to a design's own [84, rank] row code and its
 # unique resolution: (p-1)*C((q^n-1)/(q-1), 2) = 210 unions are needed for

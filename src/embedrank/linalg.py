@@ -1,4 +1,4 @@
-"""Matrices over GF(p): rank, reduced row echelon form, null space.
+"""Matrices over GF(p): rank and reduced row echelon form.
 
 Two storage paths share one interface.  For p = 2 each row is a Python int
 used as a bit vector (bit j = column j), so a row operation is a single XOR
@@ -139,46 +139,6 @@ def mat_rref(m: MatGFp) -> tuple[MatGFp, list[int]]:
 
 def mat_rank(m: MatGFp) -> int:
     return len(mat_rref(m)[1])
-
-
-def mat_nullspace(m: MatGFp) -> MatGFp:
-    """Basis of the right null space, one row per free column, ascending."""
-    rref, pivots = mat_rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    if m.p == 2:
-        rows = []
-        for f in free:
-            vec = 1 << f
-            for i, pc in enumerate(pivots):
-                if (rref.bits[i] >> f) & 1:
-                    vec |= 1 << pc
-            rows.append(vec)
-        return MatGFp(len(rows), m.ncols, 2, bits=rows)
-    rows_np = np.zeros((len(free), m.ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        rows_np[k, f] = 1
-        for i, pc in enumerate(pivots):
-            rows_np[k, pc] = (-int(rref.arr[i, f])) % m.p
-    return MatGFp(len(free), m.ncols, m.p, arr=(rows_np % m.p).astype(np.uint8))
-
-
-def mat_mul_vec(m: MatGFp, vec: Sequence[int]) -> list[int]:
-    """m @ vec over GF(p), vec of length ncols."""
-    if len(vec) != m.ncols:
-        raise BadDimension("vector length mismatch")
-    if m.p == 2:
-        vmask = sum((int(x) & 1) << j for j, x in enumerate(vec))
-        return [(r & vmask).bit_count() & 1 for r in m.bits]
-    v = np.asarray(vec, dtype=np.int64) % m.p
-    return [int(x) for x in (m.arr.astype(np.int64) @ v) % m.p]
-
-
-def bitmask_from_support(support: Iterable[int]) -> int:
-    mask = 0
-    for j in support:
-        mask |= 1 << j
-    return mask
 
 
 def support_from_bitmask(mask: int) -> list[int]:

@@ -16,8 +16,6 @@ from embedrank.codes import (
     code_from_cols,
     code_from_bitrows,
     code_from_rows,
-    codeword_from_hex,
-    codeword_to_hex,
     codewords_of_weight,
     hill_newton_holds,
     is_bent,
@@ -35,7 +33,6 @@ from embedrank.codes import (
 from embedrank.designs import Resolution, residual, verify_tdesign
 from embedrank.embedding import embedding_search, parallel_union_codewords
 from embedrank.errors import (
-    BadDimension,
     CapExceeded,
     NotACodeword,
     TooLarge,
@@ -331,27 +328,6 @@ def test_parallel_union_filter_matches_gray_walk():
         for w in {0, length} | {x.bit_count() for x in unions}:
             want = [x for x in unions if x.bit_count() == w]
             assert parallel_union_codewords(code, res, w) == want
-
-
-def test_hex_round_trip():
-    rng = random.Random(106)
-    assert codeword_to_hex(0b1011, 4) == "d"
-    assert codeword_to_hex(1, 8) == "80"
-    assert codeword_to_hex(0, 4) == "0"
-    for _ in range(200):
-        length = rng.randrange(1, 40)
-        word = rng.getrandbits(length)
-        text = codeword_to_hex(word, length)
-        assert len(text) == (length + 3) // 4
-        assert codeword_from_hex(text, length) == word
-    with pytest.raises(BadDimension):
-        codeword_from_hex("f", 8)  # too short
-    with pytest.raises(BadDimension):
-        codeword_from_hex("01", 4)  # nonzero padding bits
-    assert codeword_from_hex(" 8F\n", 8) == codeword_from_hex("8f", 8) == 0b11110001
-    for text in ("zz", "\uff11", "0x1f", "f_f", "+f", "-f", "f f", "\u0661"):
-        with pytest.raises(WrongParameters):
-            codeword_from_hex(text, 4)
 
 
 def test_column_code_is_row_code_of_transpose(fano):

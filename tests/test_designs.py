@@ -1,7 +1,8 @@
 """Incidence structures: verification, restrictions, resolutions, block types."""
 
 import random
-import warnings
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -14,11 +15,9 @@ from embedrank.designs import (
     emit_des,
     emit_json,
     good_block,
-    intersection_profile,
     is_affine_resolvable,
     is_simple,
     make_resolution,
-    normal_block,
     parallel_classes,
     parse_des,
     parse_json,
@@ -93,8 +92,12 @@ def test_keep_empty_flag(ag34):
 
 
 def test_intersection_profile(fano, ag34):
-    assert intersection_profile(fano) == {1: 21}
-    prof = intersection_profile(ag34)
+    def profile(design):
+        """Histogram of |B_i cap B_j| over unordered block pairs."""
+        return Counter((a & b).bit_count() for a, b in combinations(design.block_masks(), 2))
+
+    assert profile(fano) == {1: 21}
+    prof = profile(ag34)
     # affine resolvable: non-parallel blocks meet in mu = 4, parallel in 0
     assert set(prof) == {0, 4}
     assert prof[0] == 21 * 6  # 21 classes, C(4,2) disjoint pairs each
@@ -208,31 +211,8 @@ def test_good_blocks_of_bundled_designs(e1, e2):
         assert len(goods) == 4
 
 
-def test_normal_block_pg(pg34):
-    core = normal_block(pg34, 0, 4)
-    params = verify_tdesign(core, 2)
-    assert (params.v, params.k, params.lam) == (21, 5, 1)
-    assert params.symmetric
-
-
-def test_normal_block_degenerate(fano):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        core = normal_block(fano, 2, 2)
-    assert core is not None
-    assert core.v == 3 and all(len(blk) == 1 for blk in core.blocks)
-    assert len(caught) == 1 and "degenerate" in str(caught[0].message)
-
-
-def test_normal_block_rejects(fano, ag34):
-    with pytest.raises(WrongParameters):
-        normal_block(ag34, 0, 4)  # not symmetric
-    with pytest.raises(WrongParameters):
-        normal_block(fano, 0, 3)  # k does not fit the q-family
-
-
 # ---------------------------------------------------------------------------
-# good and normal blocks against the restriction-based construction
+# good blocks against the restriction-based construction
 
 
 def _reference_good_block(design, block_idx):
@@ -284,35 +264,6 @@ def _reference_good_block(design, block_idx):
                      parallel=tuple(parallel), q=q, n=n, mu=mu, block_index=block_idx)
 
 
-def _reference_normal_block(design, block_idx, q):
-    """normal_block's core counted from the derived design with empty cuts dropped."""
-    params = verify_tdesign(design, 2)
-    m = (params.k * (q - 1) + 1) // (q * q)
-    der = derived(design, block_idx)
-    counts, order = {}, []
-    for blk in der.blocks:
-        if blk not in counts:
-            counts[blk] = 0
-            order.append(blk)
-        counts[blk] += 1
-    if any(c != q for c in counts.values()):
-        return None
-    d0 = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} core @{block_idx}",
-                            point_labels=der.point_labels)
-    lam0, rem = divmod(m - 1, q - 1)
-    if rem:
-        return None
-    if lam0 == 0:
-        if len(order) == d0.v and all(len(blk) == 1 for blk in order):
-            warnings.warn("degenerate core design (lambda = 0): the blocks are singletons")
-            return d0
-        return None
-    d0_params = verify_tdesign(d0, 2)
-    if d0_params is None or not d0_params.symmetric or d0_params.k != params.lam or d0_params.lam != lam0:
-        return None
-    return d0
-
-
 def _structure_fields(d):
     """Every field of a structure; IncidenceStructure equality compares (v, blocks) only."""
     return (d.v, d.blocks, d.name, d.point_labels, d.block_labels)
@@ -362,21 +313,6 @@ def test_good_block_errors_match_reference(fano, pg34):
         with pytest.raises(type(want.value)) as got:
             good_block(design, j)
         assert str(got.value) == str(want.value)
-
-
-def test_normal_block_matches_reference(fano, pg34):
-    for design, q in ((pg34, 4), (fano, 2)):
-        for j in range(design.b):
-            with warnings.catch_warnings(record=True) as got_warnings:
-                warnings.simplefilter("always")
-                got = normal_block(design, j, q)
-            with warnings.catch_warnings(record=True) as want_warnings:
-                warnings.simplefilter("always")
-                want = _reference_normal_block(design, j, q)
-            assert got is not None
-            assert _structure_fields(got) == _structure_fields(want)
-            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
-            assert len(got_warnings) == (design is fano)
 
 
 def test_des_round_trip(fano, ag34):

@@ -59,7 +59,7 @@ from embedrank.errors import (
     NotGoodBlock,
     WrongParameters,
 )
-from embedrank.expected import E1_DIGEST
+from embedrank.expected import E1_DIGEST, PU_WEIGHT32_BY_ORBIT, THM5_REQUIRED_43
 from embedrank.geometry import ag_design, pg_design
 from embedrank.iso import are_isomorphic, canonical_cert, resolution_orbits
 from embedrank.linalg import MatGFp, mat_rank, mat_rref
@@ -77,8 +77,9 @@ def test_embeddability_fano(fano):
 
 
 def test_embeddability_validation(fano):
-    with pytest.raises(BadIndex):
-        embeddability(fano, 7)
+    for j in (7, -1):
+        with pytest.raises(BadIndex):
+            embeddability(fano, j)
     skinny = IncidenceStructure(3, [(0,), (1, 2)])
     with pytest.raises(WrongParameters):
         embeddability(skinny, 0)
@@ -176,8 +177,8 @@ def test_parallel_union_walks_only_the_subcode(monkeypatch, ag34):
 
 def test_thm5_on_hyperplane_design(ag34):
     cond = thm5_necessary(ag34, 0)
-    assert cond == (120, 130, True)
-    assert cond.required == 120 and cond.found == 130 and cond.passes
+    assert cond == (THM5_REQUIRED_43, PU_WEIGHT32_BY_ORBIT[2], True)
+    assert cond.required == THM5_REQUIRED_43 and cond.found == PU_WEIGHT32_BY_ORBIT[2] and cond.passes
 
 
 def test_thm5_words_are_eight_class_unions(ag34, ag34_gb):

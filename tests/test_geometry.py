@@ -91,7 +91,7 @@ def _reference_pg_design(n, q, d):
         for rest in product(range(q), repeat=ambient - 1 - lead):
             points.append(tuple([0] * lead) + (1,) + rest)
     index = {v: i for i, v in enumerate(points)}
-    inv = [0] + [spec.inv(a) for a in range(1, q)]
+    inv = [0] + [spec.mul[a].index(1) for a in range(1, q)]
     blocks = []
     for basis in _rref_subspaces(spec, ambient, d + 1):
         members = set()
@@ -132,10 +132,14 @@ def test_pg_matches_reference(n, q, d):
     assert all(type(x) is int for blk in design.blocks for x in blk)
 
 
-# SHA-256 of the .des text, as written by the pure-Python builders.
+# SHA-256 of the .des text, as written by the pure-Python builders.  The
+# q = 8 and q = 9 entries pin the field tables, which the reference builders
+# above share with the numpy ones.
 DES_SHA256 = {
+    ("ag", 2, 8, 1): "0961b01227514ac13b7acdb7a132cde30a8e4b89cfbfb6160d7aebd0cb03379c",
     ("ag", 3, 4, 2): "aa73dab7fd3f52a85c1a1945af9e67d0a83c04d2268cbf6b142c501a7eaea6fb",
     ("ag", 4, 4, 3): "18b086d5485cb47a601194e8b13a88c5a50532815c11b319af9dc151fe971709",
+    ("pg", 2, 9, 1): "4f6211d4d3301aaf6bda38bd52963757751a7fecfcba3636bcc713897ed7217e",
     ("pg", 3, 4, 2): "2b92c491371429034c0d0caa90fc01cf912e13b837b01dc7970cd24bc1b0ceb6",
 }
 

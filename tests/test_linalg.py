@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from embedrank.errors import BadDimension, NonPrimeModulus
-from embedrank.linalg import (
-    MatGFp,
-    bitmask_from_support,
-    mat_mul_vec,
-    mat_nullspace,
-    mat_rank,
-    mat_rref,
-    support_from_bitmask,
-)
+from embedrank.linalg import MatGFp, mat_rank, mat_rref, support_from_bitmask
 
 
 def _rank_oracle(rows: list[list[int]], p: int) -> int:
@@ -50,20 +42,6 @@ def test_rank_matches_oracle(p):
         rows = _random_rows(rng, nrows, ncols, p)
         m = MatGFp.from_rows(rows, len(rows[0]), p)
         assert mat_rank(m) == _rank_oracle(rows, p)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_rank_nullity(p):
-    rng = random.Random(7 * p)
-    for _ in range(40):
-        nrows = rng.randrange(1, 10)
-        ncols = rng.randrange(1, 12)
-        rows = _random_rows(rng, nrows, ncols, p)
-        m = MatGFp.from_rows(rows, len(rows[0]), p)
-        ns = mat_nullspace(m)
-        assert mat_rank(m) + ns.nrows == ncols
-        for vec in ns.to_lists():
-            assert all(x == 0 for x in mat_mul_vec(m, vec))
 
 
 def test_rref_idempotent_and_pivots():
@@ -121,16 +99,13 @@ def test_shape_and_modulus_errors():
         MatGFp.from_rows([[1, 0]], 2, 4)
     with pytest.raises(BadDimension):
         MatGFp.from_rows([[1, 0], [1]], 2, 2)
-    m = MatGFp.from_rows([[1, 0], [0, 1]], 2, 2)
-    with pytest.raises(BadDimension):
-        mat_mul_vec(m, [1])
 
 
 def test_support_round_trip():
     rng = random.Random(23)
     for _ in range(100):
         sup = sorted(rng.sample(range(90), rng.randrange(0, 12)))
-        assert support_from_bitmask(bitmask_from_support(sup)) == sup
+        assert support_from_bitmask(sum(1 << j for j in sup)) == sup
 
 
 def test_numpy_rank_cross_check():
