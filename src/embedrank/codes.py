@@ -7,18 +7,15 @@ in chunks of 2^12 words: the span of the low 12 basis rows, held as limb-major
 uint64 words, XORed with one offset per chunk, with weights from
 `bitwise_count`.  Weight distributions, words of one weight, minimum weights
 and the GF(2) enumeration all read its chunks.  For p > 2 a mixed-radix
-odometer plays the same role.  Full enumeration is capped at 2^28 codewords by
-default.  The EMBEDRANK_CAP environment variable overrides the cap everywhere;
-the functions that enumerate (iter_codewords, weight_distribution,
-codewords_of_weight and min_weight) also take a per-call `cap`.  So does
-embedding.parallel_union_codewords, which walks only a subcode but still
-compares the whole code's size with the cap.  Everything built on them reads
-the default.
+odometer plays the same role.  Every enumerator refuses, with CapExceeded,
+a code of more than DEFAULT_CAP = 2^28 codewords, read at call time;
+embedding.parallel_union_codewords walks only a subcode but compares the whole
+code's size with the same cap.  The one override is weight_distribution's
+`cap`, which backs `embedrank wdist --cap`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
@@ -44,20 +41,9 @@ DEFAULT_CAP = 1 << 28
 _CHUNK_BITS = 12
 
 
-def _cap(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("EMBEDRANK_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise WrongParameters(f"EMBEDRANK_CAP must be an integer, got {env!r}") from None
-
-
-def _check_cap(code: LinearCode, cap: int | None) -> None:
-    limit = _cap(cap)
+def _check_cap(code: LinearCode, cap: int | None = None) -> None:
+    """CapExceeded when the code has more than `cap` words (None: DEFAULT_CAP)."""
+    limit = DEFAULT_CAP if cap is None else cap
     if code.size > limit:
         raise CapExceeded(f"{code.size} codewords exceed the cap {limit}")
 
@@ -225,35 +211,43 @@ def _single_process(workers: int) -> None:
         raise WrongParameters(f"workers must be 1, got {workers}")
 
 
-def iter_codewords(code: LinearCode, cap: int | None = None):
+def _odometer(code: LinearCode):
+    """Every codeword of a code over GF(p), p > 2, zero first, as a mixed-radix count.
+
+    Yields one numpy vector that the consumer must not mutate; the caller
+    checks the cap.
+    """
+    k = code.dim
+    vec = np.zeros(code.length, dtype=np.int64)
+    yield vec
+    if k == 0:
+        return
+    digits = [0] * k
+    basis = code.basis_arr.astype(np.int64)
+    for _ in range(code.p**k - 1):
+        i = 0
+        while digits[i] == code.p - 1:
+            # roll a maxed digit back to 0: subtract (p-1) copies = add one copy
+            digits[i] = 0
+            vec = (vec + basis[i]) % code.p
+            i += 1
+        digits[i] += 1
+        vec = (vec + basis[i]) % code.p
+        yield vec
+
+
+def iter_codewords(code: LinearCode):
     """Yield every codeword once, zero first, in the fixed enumeration order.
 
     GF(2) words are ints (bit j = coordinate j); other fields yield numpy
     vectors that must not be mutated by the consumer.
     """
-    _check_cap(code, cap)
+    _check_cap(code)
     if code.p == 2:
         for words, _ in _walk(code.basis_bits, code.length):
             yield from _words(words)
     else:
-        k = code.dim
-        vec = np.zeros(code.length, dtype=np.int64)
-        yield vec
-        if k == 0:
-            return
-        digits = [0] * k
-        basis = code.basis_arr.astype(np.int64)
-        total = code.p**k
-        for _ in range(total - 1):
-            i = 0
-            while digits[i] == code.p - 1:
-                # roll a maxed digit back to 0: subtract (p-1) copies = add one copy
-                digits[i] = 0
-                vec = (vec + basis[i]) % code.p
-                i += 1
-            digits[i] += 1
-            vec = (vec + basis[i]) % code.p
-            yield vec
+        yield from _odometer(code)
 
 
 @dataclass
@@ -280,7 +274,7 @@ class WeightDistribution:
 
 
 def weight_distribution(code: LinearCode, cap: int | None = None, workers: int = 1) -> WeightDistribution:
-    """Exact weight distribution by full enumeration."""
+    """Exact weight distribution by full enumeration; `cap` overrides DEFAULT_CAP."""
     _single_process(workers)
     _check_cap(code, cap)
     if code.p == 2:
@@ -288,27 +282,27 @@ def weight_distribution(code: LinearCode, cap: int | None = None, workers: int =
         counts = {w: int(c) for w, c in enumerate(hist) if c}
     else:
         counts = {}
-        for vec in iter_codewords(code, cap=cap):
+        for vec in _odometer(code):
             w = int(np.count_nonzero(vec))
             counts[w] = counts.get(w, 0) + 1
     return WeightDistribution(length=code.length, p=code.p, dim=code.dim, counts=dict(sorted(counts.items())))
 
 
-def min_weight(code: LinearCode, cap: int | None = None) -> int:
+def min_weight(code: LinearCode) -> int:
     """Smallest nonzero codeword weight (full enumeration)."""
     if code.dim == 0:
         raise WrongParameters("the zero code has no nonzero codeword")
-    return weight_distribution(code, cap=cap).min_nonzero()
+    return weight_distribution(code).min_nonzero()
 
 
-def codewords_of_weight(code: LinearCode, w: int, cap: int | None = None, workers: int = 1) -> list:
+def codewords_of_weight(code: LinearCode, w: int, workers: int = 1) -> list:
     """All codewords of the given weight, in enumeration order."""
     _single_process(workers)
-    _check_cap(code, cap)
+    _check_cap(code)
     if code.p == 2:
         out = _weight_words(code.basis_bits, code.length, w)
     else:
-        out = [vec.copy() for vec in iter_codewords(code, cap=cap) if int(np.count_nonzero(vec)) == w]
+        out = [vec.copy() for vec in _odometer(code) if int(np.count_nonzero(vec)) == w]
     return out[:1] if w == 0 else out
 
 

@@ -30,11 +30,16 @@ from .linalg import MatGFp
 
 
 class IncidenceStructure:
-    """Points 0..v-1 and an ordered tuple of blocks (ascending point tuples)."""
+    """Points 0..v-1 and an ordered tuple of blocks (ascending point tuples).
 
-    __slots__ = ("v", "blocks", "name", "point_labels", "block_labels", "_block_masks", "_point_masks")
+    A structure cut out of another (residual, derived, a good block's cut
+    design and substructure) keeps in point_labels the parent point behind
+    each of its points; blocks carry no labels, only their positions.
+    """
 
-    def __init__(self, v, blocks, name=None, point_labels=None, block_labels=None):
+    __slots__ = ("v", "blocks", "name", "point_labels", "_block_masks", "_point_masks")
+
+    def __init__(self, v, blocks, name=None, point_labels=None):
         self.v = int(v)
         blks = []
         for blk in blocks:
@@ -48,7 +53,6 @@ class IncidenceStructure:
         self.blocks = tuple(blks)
         self.name = name
         self.point_labels = tuple(point_labels) if point_labels is not None else None
-        self.block_labels = tuple(block_labels) if block_labels is not None else None
         self._block_masks = None
         self._point_masks = None
 
@@ -244,18 +248,17 @@ def _restrict(design: IncidenceStructure, block_idx: int, inside: bool, keep_emp
     base = set(design.blocks[block_idx])
     new_points = [x for x in range(design.v) if (x in base) == inside]
     index = {x: i for i, x in enumerate(new_points)}
-    blocks, labels = [], []
+    blocks = []
     for j, blk in enumerate(design.blocks):
         if j == block_idx:
             continue
         cut = tuple(index[x] for x in blk if x in index)
         if cut or keep_empty:
             blocks.append(cut)
-            labels.append(design.block_labels[j] if design.block_labels else j)
     return IncidenceStructure(
         len(new_points), blocks,
         name=f"{design.name or 'design'} {'derived' if inside else 'residual'} @{block_idx}",
-        point_labels=tuple(new_points), block_labels=tuple(labels),
+        point_labels=tuple(new_points),
     )
 
 
@@ -332,75 +335,66 @@ def _affine_resolution(design: IncidenceStructure, params: DesignParams | None):
     return q, mu, Resolution(classes=tuple(sorted(classes)))
 
 
+def _exact_covers(masks: list[int], width: int, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Every set of masks that partitions the bits 0..width-1, as index tuples.
+
+    Backtracks on the lowest uncovered bit, trying the masks that hold it in
+    index order, so each partition comes out once, its indices in the order
+    chosen.  Raises CapExceeded once more than `limit` have been found.
+    """
+    holding: list[list[int]] = [[] for _ in range(width)]
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            holding[low.bit_length() - 1].append(i)
+            mask ^= low
+    full = (1 << width) - 1
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def rec(cover: int) -> None:
+        if cover == full:
+            out.append(tuple(chosen))
+            if limit is not None and len(out) > limit:
+                raise CapExceeded(f"more than {limit} exact covers")
+            return
+        free = ~cover & full
+        for i in holding[(free & -free).bit_length() - 1]:
+            if not masks[i] & cover:
+                chosen.append(i)
+                rec(cover | masks[i])
+                chosen.pop()
+
+    rec(0)
+    return out
+
+
 def parallel_classes(design: IncidenceStructure) -> list[tuple[int, ...]]:
     """All block sets that partition the points, in lexicographic order.
 
-    Exact-cover search: branch on the lowest uncovered point, so every
-    partition is produced exactly once.  Empty blocks raise WrongParameters.
+    The exact covers of the points by blocks.  Empty blocks raise
+    WrongParameters.
     """
     k = design.uniform_k()
     if not k:
         raise WrongParameters("the blocks are empty, so no set of them partitions the points")
     if design.v % k:
         return []
-    masks = design.block_masks()
-    by_point: list[list[int]] = [[] for _ in range(design.v)]
-    for j, blk in enumerate(design.blocks):
-        for x in blk:
-            by_point[x].append(j)
-    full = (1 << design.v) - 1
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(cover: int) -> None:
-        if cover == full:
-            out.append(tuple(sorted(chosen)))
-            return
-        x = (~cover & full)
-        x = (x & -x).bit_length() - 1
-        for j in by_point[x]:
-            if not masks[j] & cover:
-                chosen.append(j)
-                rec(cover | masks[j])
-                chosen.pop()
-
-    rec(0)
-    return sorted(out)
+    return sorted(tuple(sorted(cover)) for cover in _exact_covers(design.block_masks(), design.v))
 
 
 def resolutions(design: IncidenceStructure, limit: int | None = None) -> list[Resolution]:
     """All resolutions (partitions of the block list into parallel classes).
 
-    Exact cover over block indices using the parallel-class list; branches on
-    the lowest unassigned block.  Raises CapExceeded once more than `limit`
-    resolutions have been found.
+    The exact covers of the block indices by parallel classes.  Each class
+    chosen holds the lowest block not yet covered, so a resolution's classes
+    come out ascending, and the resolutions in lexicographic order.  Raises
+    CapExceeded once more than `limit` resolutions have been found.
     """
     classes = parallel_classes(design)
-    covering: list[list[int]] = [[] for _ in range(design.b)]
-    for ci, cls in enumerate(classes):
-        for j in cls:
-            covering[j].append(ci)
-    class_bits = [sum(1 << j for j in cls) for cls in classes]
-    full = (1 << design.b) - 1
-    out: list[Resolution] = []
-    picked: list[int] = []
-
-    def rec(assigned: int) -> None:
-        if assigned == full:
-            out.append(Resolution(classes=tuple(sorted(classes[ci] for ci in picked))))
-            if limit is not None and len(out) > limit:
-                raise CapExceeded(f"more than {limit} resolutions")
-            return
-        j = (~assigned & full)
-        j = (j & -j).bit_length() - 1
-        for ci in covering[j]:
-            if not class_bits[ci] & assigned:
-                picked.append(ci)
-                rec(assigned | class_bits[ci])
-                picked.pop()
-
-    rec(0)
-    return out
+    masks = [sum(1 << j for j in cls) for cls in classes]
+    covers = _exact_covers(masks, design.b, limit)
+    return [Resolution(classes=tuple(classes[ci] for ci in cover)) for cover in covers]
 
 
 class AffineFamily(NamedTuple):
@@ -506,11 +500,9 @@ def good_block(design: IncidenceStructure, block_idx: int):
     sub_ids = sorted(j for g in groups for j in g)
     off = [x for x in range(design.v) if not base >> x & 1]
     index = {x: i for i, x in enumerate(off)}
-    labels = design.block_labels or range(design.b)
     sub = IncidenceStructure(
         len(off), [[index[x] for x in design.blocks[j] if x in index] for j in sub_ids],
-        name=f"{design.name or 'design'} sub @{block_idx}",
-        point_labels=off, block_labels=[labels[j] for j in sub_ids],
+        name=f"{design.name or 'design'} sub @{block_idx}", point_labels=off,
     )
     pos = {j: i for i, j in enumerate(sub_ids)}
     try:

@@ -118,7 +118,7 @@ def _union_basis(code: LinearCode, masks: list[int]) -> list[int]:
     return basis
 
 
-def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, cap: int | None = None):
+def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     """Weight-w codewords whose support is a union of classes of `resolution`.
 
     The code is binary, and the resolution partitions its coordinates: a
@@ -127,13 +127,14 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int, c
     These codewords are the subcode C ∩ V, V the span of the class
     indicators; _union_basis spans it, and only that subcode is walked:
     2^dim(C ∩ V) words, never more than the 2^dim(C) of the whole code.  The
-    cap still compares the whole code's size, so CapExceeded is raised for
-    the same codes as by a walk of the whole code.  Returns the words as
-    bitmasks, in the order the walk of the whole code lists them.
+    whole code's size is still compared with codes.DEFAULT_CAP, so
+    CapExceeded is raised for the same codes as by a walk of the whole code.
+    Returns the words as bitmasks, in the order the walk of the whole code
+    lists them.
     """
     if code.p != 2:
         raise WrongParameters("parallel-union codewords are implemented over GF(2)")
-    _check_cap(code, cap)
+    _check_cap(code)
     m = sum(map(len, resolution.classes))
     if m != code.length:
         raise WrongParameters(f"the resolution partitions {m} coordinates, not the code's {code.length}")
@@ -157,6 +158,27 @@ def _binary_family(design: IncidenceStructure) -> AffineFamily:
     return family
 
 
+def _union_count(design: IncidenceStructure, required, block_idx: int | None = None) -> NecessaryCondition:
+    """Weight-2q^(n-1) row-code words on unions of parallel classes, against `required(q, n)`.
+
+    The code and resolution are the design's own or, given block_idx, those
+    of that good block's substructure.  q must be a power of 2 and at least 4.
+    """
+    q, n, _, _, resolution = _binary_family(design)
+    if q < 4:
+        raise WrongParameters("the necessary condition needs q >= 4")
+    structure = design
+    if block_idx is not None:
+        gb = good_block(design, block_idx)
+        if gb is None:
+            raise NotGoodBlock(f"block {block_idx} is not good")
+        structure, resolution = gb.substructure, gb.resolution
+    code = code_from_bitrows(structure.point_masks(), structure.b)
+    need = required(q, n)
+    found = len(parallel_union_codewords(code, resolution, 2 * q ** (n - 1)))
+    return NecessaryCondition(need, found, found >= need)
+
+
 def thm5_necessary(design: IncidenceStructure, block_idx: int) -> NecessaryCondition:
     """Parallel-union codeword count of the residual structure's row code.
 
@@ -169,16 +191,7 @@ def thm5_necessary(design: IncidenceStructure, block_idx: int) -> NecessaryCondi
     still bounds the whole code.  For another resolution of the
     substructure, call parallel_union_codewords directly.
     """
-    q, n, *_ = _binary_family(design)
-    if q < 4:
-        raise WrongParameters("the necessary condition needs q >= 4")
-    gb = good_block(design, block_idx)
-    if gb is None:
-        raise NotGoodBlock(f"block {block_idx} is not good")
-    code = code_from_bitrows(gb.substructure.point_masks(), gb.substructure.b)
-    required = comb(q ** (n - 1), 2)
-    found = len(parallel_union_codewords(code, gb.resolution, 2 * q ** (n - 1)))
-    return NecessaryCondition(required, found, found >= required)
+    return _union_count(design, lambda q, n: comb(q ** (n - 1), 2), block_idx)
 
 
 def thm_taf_necessary(design: IncidenceStructure) -> NecessaryCondition:
@@ -189,13 +202,7 @@ def thm_taf_necessary(design: IncidenceStructure) -> NecessaryCondition:
     C((q^n-1)/(q-1), 2) of them.  The count is over GF(2), so q must be a
     power of 2 and at least 4.
     """
-    q, n, _, _, resolution = _binary_family(design)
-    if q < 4:
-        raise WrongParameters("the necessary condition needs q >= 4")
-    code = code_from_bitrows(design.point_masks(), design.b)
-    required = comb((q**n - 1) // (q - 1), 2)
-    found = len(parallel_union_codewords(code, resolution, 2 * q ** (n - 1)))
-    return NecessaryCondition(required, found, found >= required)
+    return _union_count(design, lambda q, n: comb((q**n - 1) // (q - 1), 2))
 
 
 def quasi_residual_params(v: int, k: int, lam: int):

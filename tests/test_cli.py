@@ -68,14 +68,6 @@ def test_computation_error_json(k4_file, capsys):
     assert err["error"] == "WrongParameters"
 
 
-def test_bad_cap_env_exits_one(fano_file, monkeypatch, capsys):
-    monkeypatch.setenv("EMBEDRANK_CAP", "abc")
-    assert run(["wdist", fano_file, "--rows"]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "WrongParameters"
-    assert "EMBEDRANK_CAP" in err["message"]
-
-
 MALFORMED_DESIGNS = [
     ("header.des", b"x 2\n0 1\n1 2\n", "WrongParameters"),
     ("letter.des", b"3 1\n0 z\n", "WrongParameters"),
@@ -230,6 +222,17 @@ def test_wdist_csv(fano_file, capsys):
     assert capsys.readouterr().out.strip().splitlines() == lines
     assert run(["wdist", fano_file]) == 2  # --rows/--cols is required
     capsys.readouterr()
+
+
+def test_wdist_cap_overrides_the_default(tmp_path, capsys):
+    path = tmp_path / "ag32.des"
+    path.write_text(emit_des(ag_design(3, 2, 2)[0]))  # row code: 2^4 words
+    assert run(["wdist", str(path), "--rows", "--cap", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "CapExceeded"
+    assert run(["wdist", str(path), "--rows", "--cap", "16"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["weight,count", "0,1", "7,8", "8,7"]
 
 
 def test_residual_derived_cli(fano_file, k4_file, tmp_path, capsys):

@@ -234,19 +234,19 @@ def test_caps_raise_too_large(monkeypatch):
         raise AssertionError("walked past the cap")
 
     monkeypatch.setattr(codes_module, "_walk", no_walk)
-    code = rm_code(2, 4)  # 2^11 codewords
+    code = code_from_bitrows([1 << j for j in range(29)], 29)  # the identity code: 2^29 words
+    assert code.size > DEFAULT_CAP >= 1 << 20
     with pytest.raises(CapExceeded):
-        list(iter_codewords(code, cap=100))
+        list(iter_codewords(code))
     with pytest.raises(TooLarge):
-        weight_distribution(code, cap=100)
+        weight_distribution(code)
     with pytest.raises(TooLarge):
-        codewords_of_weight(code, 4, cap=100)
+        codewords_of_weight(code, 4)
     with pytest.raises(TooLarge):
-        min_weight(code, cap=100)
-    res = Resolution(tuple(tuple(range(j, j + 4)) for j in range(0, 16, 4)))
+        min_weight(code)
+    singletons = Resolution(tuple((j,) for j in range(29)))
     with pytest.raises(CapExceeded):
-        parallel_union_codewords(code, res, 8, cap=100)
-    assert DEFAULT_CAP >= 1 << 20
+        parallel_union_codewords(code, singletons, 2)
 
 
 def test_codewords_of_weight_matches_enumeration():

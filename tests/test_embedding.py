@@ -237,7 +237,7 @@ def test_parallel_union_conditions_need_binary_q(k4_edges):
 
 
 def test_cap_binds_without_a_cap_argument(monkeypatch, ag34):
-    monkeypatch.setenv("EMBEDRANK_CAP", "100")
+    monkeypatch.setattr(codes_module, "DEFAULT_CAP", 100)
     rm24 = rm_code(2, 4)  # 2^11 words
     with pytest.raises(CapExceeded):
         thm5_necessary(ag34, 0)
