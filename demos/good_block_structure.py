@@ -11,6 +11,7 @@ These counts are the obstruction data behind the completion search.
 """
 
 from embedrank import (
+    affine_family,
     ag_design,
     automorphism_group,
     code_from_bitrows,
@@ -28,7 +29,8 @@ def main() -> None:
     gb = good_block(ag, 0)
     s = gb.s
     sub = gb.substructure
-    print(f"good block 0 of {ag.name}: q = {gb.q}, n = {gb.n}, mu = {gb.mu}")
+    q, n, mu, _, _ = affine_family(ag)
+    print(f"good block 0 of {ag.name}: q = {q}, n = {n}, mu = {mu}")
     print(f"cut design: 2-({s.v},{len(s.blocks[0])},1) with {s.b} blocks")
     print(f"substructure: {sub.v} points, {sub.b} blocks of size {len(sub.blocks[0])}")
 

@@ -32,11 +32,13 @@ from .codes import (
 )
 from .designs import (
     IncidenceStructure,
+    derived,
     emit_des,
     good_block,
     load_design,
     parallel_classes,
     parse_des,
+    residual,
     resolutions,
 )
 from .embedding import (
@@ -111,8 +113,6 @@ def _cmd_wdist(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    from .designs import derived, residual
-
     op = residual if args.op == "residual" else derived
     design = load_design(args.des)
     out = op(design, args.block, keep_empty=args.keep_empty)
@@ -271,6 +271,11 @@ def _good_block_in_orbit(design: IncidenceStructure, orbit_len: int) -> int:
     raise WrongParameters(f"no good block in an orbit of length {orbit_len}")
 
 
+def _expect(mismatches: list[str], label: str, got, want) -> None:
+    if got != want:
+        mismatches.append(f"{label} = {got}, expected {want}")
+
+
 def _repro_fail(mismatches: list[str]) -> int:
     if not mismatches:
         return 0
@@ -278,85 +283,30 @@ def _repro_fail(mismatches: list[str]) -> int:
     return 1
 
 
-def _check_distribution(wd, listed: dict[int, int], mismatches: list[str]) -> None:
-    for w in sorted(listed):
-        if wd.counts.get(w, 0) != listed[w]:
-            mismatches.append(f"A_{w} = {wd.counts.get(w, 0)}, expected {listed[w]}")
+def _repro_distribution(design: IncidenceStructure, block: int, listed: dict[int, int]) -> int:
+    """Print the residual code's weight distribution; diff all of it against `listed` + the zero word."""
+    wd = weight_distribution(_mpp_code(design, block))
+    sys.stdout.write(wd.as_csv())
+    mismatches: list[str] = []
+    _expect(mismatches, "weight distribution", wd.counts, dict(sorted({0: 1, **listed}.items())))
+    return _repro_fail(mismatches)
 
 
 def _repro_table1(args) -> int:
     design, _ = ag_design(3, 4, 2)
-    code = _mpp_code(design, 0)
-    wd = weight_distribution(code)
-    sys.stdout.write(wd.as_csv())
-    mismatches: list[str] = []
-    _check_distribution(wd, expected.TABLE1_LISTED, mismatches)
-    _check_distribution(wd, expected.TABLE1_UNLISTED_SPLIT, mismatches)
-    unlisted = sum(wd.counts.get(w, 0) for w in (42, 44, 46))
-    if unlisted != expected.TABLE1_UNLISTED_TOTAL:
-        mismatches.append(f"A_42+A_44+A_46 = {unlisted}, expected {expected.TABLE1_UNLISTED_TOTAL}")
-    if wd.total() != 1 << 15:
-        mismatches.append(f"total {wd.total()}, expected 2^15")
-    return _repro_fail(mismatches)
+    return _repro_distribution(design, 0, {**expected.TABLE1_LISTED, **expected.TABLE1_UNLISTED_SPLIT})
 
 
 def _repro_table2(args) -> int:
     design = _bundled_design("e1.des")
-    block = _good_block_in_orbit(design, 3)
-    code = _mpp_code(design, block)
-    wd = weight_distribution(code)
-    sys.stdout.write(wd.as_csv())
-    mismatches: list[str] = []
-    full = dict(expected.TABLE2)
-    full[0] = 1
-    if wd.counts != full:
-        _check_distribution(wd, full, mismatches)
-        extra = sorted(set(wd.counts) - set(full))
-        if extra:
-            mismatches.append(f"unexpected weights {extra}")
-    if wd.total() != 1 << 15:
-        mismatches.append(f"total {wd.total()}, expected 2^15")
-    return _repro_fail(mismatches)
+    return _repro_distribution(design, _good_block_in_orbit(design, 3), expected.TABLE2)
 
 
-def _stage_report(
-    label: str,
-    result,
-    names: dict[str, str],
-    expected_classes: dict[str, int],
-    mismatches: list[str],
-) -> dict[str, IncidenceStructure]:
-    print(label)
-    print(
-        f"  candidates {result.candidates_examined}, "
-        f"viable codes {result.viable_codes}, designs {len(result.designs)}"
-    )
-    if result.candidates_examined != expected.SEARCH_CANDIDATES:
-        mismatches.append(f"candidates {result.candidates_examined} != {expected.SEARCH_CANDIDATES}")
-    if result.viable_codes != expected.SEARCH_VIABLE:
-        mismatches.append(f"viable codes {result.viable_codes} != {expected.SEARCH_VIABLE}")
-    reps: dict[str, IncidenceStructure] = {}
-    found: dict[str, int] = {}
-    parts = []
-    for rep, mult in result.iso_classes:
-        digest = canonical_cert(rep).digest
-        name = names.get(digest, digest[:12])
-        reps[name] = rep
-        found[name] = mult
-        parts.append(f"{mult} x {name}")
-    print("  classes: " + ", ".join(parts))
-    if found != expected_classes:
-        mismatches.append(f"classes {found} != {expected_classes}")
-    return reps
-
-
-def _design_facts(
-    name: str,
-    design: IncidenceStructure,
-    order: int,
-    orbit_lengths: tuple[int, ...],
-    mismatches: list[str],
-) -> None:
+def _design_facts(name: str, design: IncidenceStructure, mismatches: list[str]) -> None:
+    order, orbit_lengths, rank = {
+        "e1": (expected.AUT_ORDER_E1, expected.E1_BLOCK_ORBITS, expected.RANK2_E1),
+        "e2": (expected.AUT_ORDER_E2, expected.E2_BLOCK_ORBITS, expected.RANK2_E2),
+    }[name]
     group = automorphism_group(design)
     got_order = group.order()
     got_orbits = tuple(sorted(len(o) for o in orbits(group, "blocks")))
@@ -365,57 +315,55 @@ def _design_facts(
         f"  |Aut({name})| = {got_order}, 2-rank {got_rank}, "
         f"block orbits {','.join(map(str, got_orbits))}"
     )
-    if got_order != order:
-        mismatches.append(f"|Aut({name})| = {got_order} != {order}")
-    if got_orbits != orbit_lengths:
-        mismatches.append(f"{name} block orbits {got_orbits} != {orbit_lengths}")
-    if got_rank != 16:
-        mismatches.append(f"2-rank({name}) = {got_rank} != 16")
+    _expect(mismatches, f"|Aut({name})|", got_order, order)
+    _expect(mismatches, f"{name} block orbits", got_orbits, orbit_lengths)
+    _expect(mismatches, f"2-rank({name})", got_rank, rank)
 
 
 def _repro_section5(args) -> int:
     mismatches: list[str] = []
-    ag, _ = ag_design(3, 4, 2)
+    design, _ = ag_design(3, 4, 2)
     names = {
-        canonical_cert(ag).digest: "ag",
+        canonical_cert(design).digest: "ag",
         expected.E1_DIGEST: "e1",
         expected.E2_DIGEST: "e2",
     }
-
-    result1 = embedding_search(ag, 0)
-    reps = _stage_report(
-        "stage 1: ag = AG_2(3,4), block 0", result1, names, expected.STAGE1_CLASSES, mismatches
+    # (label, orbit length of the searched block or None for block 0,
+    #  expected classes, the class searched next)
+    stages = (
+        ("ag = AG_2(3,4)", None, expected.STAGE1_CLASSES, "e1"),
+        ("e1", 3, expected.STAGE2_CLASSES, "e2"),
+        ("e2", 4, expected.STAGE3_CLASSES, None),
     )
-    if "e1" not in reps:
-        mismatches.append("stage 1 found no design with the stored e1 canonical form")
-        return _repro_fail(mismatches)
-    e1 = reps["e1"]
-    _design_facts("e1", e1, expected.AUT_ORDER_E1, expected.E1_BLOCK_ORBITS, mismatches)
-
-    block2 = _good_block_in_orbit(e1, 3)
-    result2 = embedding_search(e1, block2)
-    reps2 = _stage_report(
-        f"stage 2: e1, block {block2} (orbit length 3)",
-        result2,
-        names,
-        expected.STAGE2_CLASSES,
-        mismatches,
-    )
-    if "e2" not in reps2:
-        mismatches.append("stage 2 found no design with the stored e2 canonical form")
-        return _repro_fail(mismatches)
-    e2 = reps2["e2"]
-    _design_facts("e2", e2, expected.AUT_ORDER_E2, expected.E2_BLOCK_ORBITS, mismatches)
-
-    block3 = _good_block_in_orbit(e2, 4)
-    result3 = embedding_search(e2, block3)
-    _stage_report(
-        f"stage 3: e2, block {block3} (orbit length 4)",
-        result3,
-        names,
-        expected.STAGE3_CLASSES,
-        mismatches,
-    )
+    for stage, (label, orbit_len, want, following) in enumerate(stages, 1):
+        if orbit_len is None:
+            block, where = 0, ""
+        else:
+            block, where = _good_block_in_orbit(design, orbit_len), f" (orbit length {orbit_len})"
+        result = embedding_search(design, block)
+        print(f"stage {stage}: {label}, block {block}{where}")
+        print(
+            f"  candidates {result.candidates_examined}, "
+            f"viable codes {result.viable_codes}, designs {len(result.designs)}"
+        )
+        _expect(mismatches, f"stage {stage} candidates", result.candidates_examined, expected.SEARCH_CANDIDATES)
+        _expect(mismatches, f"stage {stage} viable codes", result.viable_codes, expected.SEARCH_VIABLE)
+        reps: dict[str, IncidenceStructure] = {}
+        found: dict[str, int] = {}
+        for rep, mult in result.iso_classes:
+            digest = canonical_cert(rep).digest
+            name = names.get(digest, digest[:12])
+            reps[name] = rep
+            found[name] = mult
+        print("  classes: " + ", ".join(f"{mult} x {name}" for name, mult in found.items()))
+        _expect(mismatches, f"stage {stage} classes", found, want)
+        if following is None:
+            break
+        if following not in reps:
+            mismatches.append(f"stage {stage} found no design with the stored {following} canonical form")
+            return _repro_fail(mismatches)
+        design = reps[following]
+        _design_facts(following, design, mismatches)
 
     print("ok" if not mismatches else "mismatch")
     return _repro_fail(mismatches)
@@ -434,11 +382,8 @@ def _repro_section6(args) -> int:
     for name, design in instances:
         nc = thm_taf_necessary(design)
         print(f"  {name}: found {nc.found}, {'passes' if nc.passes else 'fails'}")
-        if nc.required != expected.TAF_REQUIRED_43 or nc.found != expected.TAF_FOUND[name]:
-            mismatches.append(
-                f"{name}: required/found {nc.required}/{nc.found}, "
-                f"expected {expected.TAF_REQUIRED_43}/{expected.TAF_FOUND[name]}"
-            )
+        _expect(mismatches, f"{name} required", nc.required, expected.TAF_REQUIRED_43)
+        _expect(mismatches, f"{name} found", nc.found, expected.TAF_FOUND[name])
 
     vkl = ",".join(map(str, expected.SYM_TARGET_PARAMS))
     print(f"symmetric embedding in 2-({vkl}):")
@@ -448,10 +393,8 @@ def _repro_section6(args) -> int:
             f"  {name}: {sym.weight_count} weight-21 codewords, "
             f"{len(sym.designs)} design(s)"
         )
-        if sym.weight_count != expected.SYM_W21[name]:
-            mismatches.append(f"{name}: weight count {sym.weight_count} != {expected.SYM_W21[name]}")
-        if len(sym.designs) != expected.SYM_DESIGNS[name]:
-            mismatches.append(f"{name}: {len(sym.designs)} designs != {expected.SYM_DESIGNS[name]}")
+        _expect(mismatches, f"{name} weight-21 codewords", sym.weight_count, expected.SYM_W21[name])
+        _expect(mismatches, f"{name} designs", len(sym.designs), expected.SYM_DESIGNS[name])
         if name == "ag" and sym.designs:
             if are_isomorphic(sym.designs[0], pg_design(3, 4, 2)):
                 print("  the design is isomorphic to PG_2(3,4)")
@@ -579,10 +522,7 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.func(args)
-    except EmbedrankError as exc:
-        _error_json(type(exc).__name__, str(exc))
-        return 1
-    except OSError as exc:
+    except (EmbedrankError, OSError) as exc:
         _error_json(type(exc).__name__, str(exc))
         return 1
 

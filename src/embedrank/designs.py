@@ -436,16 +436,14 @@ class GoodBlock:
     resolution   parallel classes of `substructure`, one per block of s
     substructure the residual blocks of size k - mu, in residual point labels
     parallel     indices (in the parent) of the blocks disjoint from the block
+
+    The design's q, n and mu are in its `affine_family` record.
     """
 
     s: IncidenceStructure
     resolution: Resolution
     substructure: IncidenceStructure
     parallel: tuple[int, ...]
-    q: int
-    n: int
-    mu: int
-    block_index: int
 
 
 def _cuts(design: IncidenceStructure, base: int, skip: int | None = None) -> dict[int, list[int]]:
@@ -469,7 +467,7 @@ def good_block(design: IncidenceStructure, block_idx: int):
     simple 2-(q^(n-1), q^(n-2), (q^(n-2)-1)/(q-1)) design, else None.
     """
     _check_block_index(design, block_idx)
-    q, n, mu, params, _ = affine_family(design)
+    q, _, mu, params, _ = affine_family(design)
     # The distinct nonempty cuts on the block, in order of first appearance,
     # form s; the blocks that miss it are the block's parallel class.
     base = design.block_masks()[block_idx]
@@ -509,10 +507,7 @@ def good_block(design: IncidenceStructure, block_idx: int):
         resolution = make_resolution(sub, [[pos[j] for j in g] for g in groups])
     except WrongParameters:
         return None
-    return GoodBlock(
-        s=s, resolution=resolution, substructure=sub,
-        parallel=tuple(parallel), q=q, n=n, mu=mu, block_index=block_idx,
-    )
+    return GoodBlock(s=s, resolution=resolution, substructure=sub, parallel=tuple(parallel))
 
 
 # ---------------------------------------------------------------------------

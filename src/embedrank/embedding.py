@@ -274,11 +274,11 @@ def _search_context(
     gb = good_block(design, block_idx)
     if gb is None:
         raise NotGoodBlock(f"block {block_idx} is not good")
-    if (gb.q, gb.n) != _SEARCH_SIZES:
+    q, n, _, params, _ = affine_family(design)
+    if (q, n) != _SEARCH_SIZES:
         raise InfeasibleInstance(
-            f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({gb.q}, {gb.n})"
+            f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({q}, {n})"
         )
-    params = affine_family(design).params
     dpp = gb.substructure
     res = gb.resolution
     if resolution is not None:

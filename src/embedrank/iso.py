@@ -435,19 +435,14 @@ class _Search:
 
 @dataclass(frozen=True)
 class CanonicalCert:
-    """Canonical serialization of a structure plus the relabeling behind it."""
+    """Canonical serialization of a structure and its SHA-256 digest.
+
+    The digest is a function of the payload, so the dataclass's own equality
+    and hash over both fields are payload equality and hash.
+    """
 
     digest: str
     payload: bytes
-    point_order: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CanonicalCert):
-            return NotImplemented
-        return self.payload == other.payload
-
-    def __hash__(self) -> int:
-        return hash(self.payload)
 
 
 @dataclass
@@ -524,11 +519,7 @@ def _analyze(design: IncidenceStructure) -> tuple[CanonicalCert, PermGroup]:
         body = " ".join(str(x) for x in blk)
         lines.append(body if simple_multiset else f"{m}x {body}")
     payload = ("\n".join(lines) + "\n").encode()
-    cert = CanonicalCert(
-        digest=hashlib.sha256(payload).hexdigest(),
-        payload=payload,
-        point_order=point_order,
-    )
+    cert = CanonicalCert(digest=hashlib.sha256(payload).hexdigest(), payload=payload)
     group = PermGroup(
         degree=len(adj),
         generators=tuple(map(tuple, search.gens.tolist())),

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, reproduce targets."""
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import embedrank
+from embedrank import expected
 from embedrank.cli import run
 from embedrank.designs import (
     IncidenceStructure,
@@ -383,11 +385,25 @@ def test_sym_embed_cli(tmp_path, capsys):
     assert (params.v, params.k, params.lam) == (15, 7, 3)
 
 
+# SHA-256 of each reproduce target's stdout
+REPRODUCE_STDOUT = {
+    "table1": "2cb931fa79913c1db1eabcab33fc65ba4435479a9c4b56ff25921024b9c2c837",
+    "table2": "9f515eba720a04c28fde9bd75c51c5184000cf1ee9531605255a7d3e999750ff",
+    "section5": "758d13c35339c976d61b9f8ec2c1be841eeb52421deb914e92032ab5a0e4f176",
+    "section6": "97ee6cae7fc10408140f72378f112e08dec6f14213a5bf2d5434226e83d3dded",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_reproduce_table1(capsys):
     assert run(["reproduce", "table1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("weight,count")
     assert "64,5" in out.splitlines()
+    assert _sha256(out) == REPRODUCE_STDOUT["table1"]
 
 
 def test_reproduce_section6(capsys):
@@ -395,6 +411,7 @@ def test_reproduce_section6(capsys):
     out = capsys.readouterr().out
     assert out.rstrip().endswith("ok")
     assert "isomorphic to PG_2(3,4)" in out
+    assert _sha256(out) == REPRODUCE_STDOUT["section6"]
 
 
 def _declared_console_script() -> str:
@@ -452,6 +469,7 @@ def test_reproduce_table2(capsys):
     out = capsys.readouterr().out
     assert out.startswith("weight,count")
     assert "30,1024" in out.splitlines()
+    assert _sha256(out) == REPRODUCE_STDOUT["table2"]
 
 
 def test_embed_search_exports_classes(tmp_path, capsys):
@@ -475,3 +493,28 @@ def test_reproduce_section5(capsys):
     out = capsys.readouterr().out
     assert out.rstrip().endswith("ok")
     assert "stage 3" in out
+    assert _sha256(out) == REPRODUCE_STDOUT["section5"]
+
+
+# one frozen value per target, changed so that the computed value no longer matches
+MISMATCHES = [
+    ("table1", "TABLE1_UNLISTED_SPLIT", 44, 5761, "44: 5761"),
+    ("table2", "TABLE2", 30, 1025, "30: 1025"),
+    ("section5", "RANK2_E1", None, 17, "2-rank(e1) = 16, expected 17"),
+    ("section6", "SYM_W21", "e1", 70, "e1 weight-21 codewords = 69, expected 70"),
+]
+
+
+@pytest.mark.parametrize("target, name, key, value, named", MISMATCHES, ids=[m[0] for m in MISMATCHES])
+def test_reproduce_mismatch_exits_one(monkeypatch, capsys, target, name, key, value, named):
+    if key is None:
+        monkeypatch.setattr(expected, name, value)
+    else:
+        monkeypatch.setitem(getattr(expected, name), key, value)
+    assert run(["reproduce", target]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ReproduceMismatch"
+    assert named in err["message"]
+    if target.startswith("section"):
+        assert captured.out.splitlines()[-1] == "mismatch"

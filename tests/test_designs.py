@@ -167,9 +167,9 @@ def test_make_resolution_validation(k4_edges):
         make_resolution(k4_edges, [])  # partitions no blocks, not all six
 
 
-def test_good_block_structure(ag34_gb):
+def test_good_block_structure(ag34, ag34_gb):
     gb = ag34_gb
-    assert (gb.q, gb.n, gb.mu) == (4, 3, 4)
+    assert affine_family(ag34)[:3] == (4, 3, 4)
     s_params = verify_tdesign(gb.s, 2)
     assert (s_params.v, s_params.k, s_params.lam) == (16, 4, 1)
     assert is_simple(gb.s)
@@ -209,7 +209,7 @@ def _reference_good_block(design, block_idx):
     """good_block built from the keep_empty derived and residual designs, remapped to the parent."""
     if not 0 <= block_idx < design.b:
         raise BadIndex(f"block index {block_idx} outside 0..{design.b - 1}")
-    q, n, mu, params, _ = affine_family(design)
+    q, _, mu, params, _ = affine_family(design)
     der = derived(design, block_idx, keep_empty=True)
     groups, order, parallel = {}, [], []
     for i, cut in enumerate(der.blocks):
@@ -249,8 +249,7 @@ def _reference_good_block(design, block_idx):
         resolution = make_resolution(sub, classes)
     except WrongParameters:
         return None
-    return GoodBlock(s=s, resolution=resolution, substructure=sub,
-                     parallel=tuple(parallel), q=q, n=n, mu=mu, block_index=block_idx)
+    return GoodBlock(s=s, resolution=resolution, substructure=sub, parallel=tuple(parallel))
 
 
 def _structure_fields(d):
