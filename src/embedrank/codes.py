@@ -188,23 +188,6 @@ def _weight_words(basis: list[int], length: int, w: int) -> list[int]:
     return out
 
 
-def _walk_index(code: LinearCode, word: int) -> int:
-    """The position of a codeword in the Gray walk of the whole code.
-
-    Over an RREF basis the coefficient of row j is the word's bit at pivot j,
-    since no other row has that bit; the position is the inverse Gray code of
-    that coefficient vector.
-    """
-    g = 0
-    for j, piv in enumerate(code.pivots):
-        g |= ((word >> piv) & 1) << j
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
-
-
 def _single_process(workers: int) -> None:
     """Every walk and search runs in the calling process: `workers` must be 1."""
     if workers != 1:

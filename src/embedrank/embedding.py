@@ -26,7 +26,6 @@ from .codes import (
     _limbs,
     _single_process,
     _span_table,
-    _walk_index,
     _weight_words,
     _words,
     code_from_bitrows,
@@ -129,7 +128,7 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     2^dim(C ∩ V) words, never more than the 2^dim(C) of the whole code.  The
     whole code's size is still compared with codes.DEFAULT_CAP, so
     CapExceeded is raised for the same codes as by a walk of the whole code.
-    Returns the words as bitmasks, in the order the walk of the whole code
+    Returns the words as bitmasks, in the order the walk of the subcode
     lists them.
     """
     if code.p != 2:
@@ -140,8 +139,7 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
         raise WrongParameters(f"the resolution partitions {m} coordinates, not the code's {code.length}")
     masks = resolution.masks()
     sub = code_from_bitrows(_union_basis(code, masks), code.length)
-    words = _weight_words(sub.basis_bits, sub.length, w)
-    return sorted(words, key=lambda word: _walk_index(code, word))
+    return _weight_words(sub.basis_bits, sub.length, w)
 
 
 class NecessaryCondition(NamedTuple):
@@ -289,17 +287,17 @@ def _search_context(
     ncols = dpp.b + len(gb.parallel) + 1
     if ncols > 128:
         raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
-    # The premises of the scan's class-count identity (see _hit_matrix).
-    removed = set(design.blocks[block_idx])
-    if any(x in removed for x in dpp.point_labels):
-        raise InternalCheckFailed("a residual row meets the removed block")
+    # The premise of the scan's class-count identity (see _hit_matrix).
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
     par_blocks = [set(design.blocks[j]) for j in gb.parallel]
+    # Substructure point i is the i-th point off the removed block.
+    removed = set(design.blocks[block_idx])
+    off = [x for x in range(design.v) if x not in removed]
     rows = [
         mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
-        for mask, x in zip(dpp.point_masks(), dpp.point_labels)
+        for mask, x in zip(dpp.point_masks(), off, strict=True)
     ]
     room = _room(params.k, dpp.block_sizes() + [len(blk) for blk in par_blocks])
     if sum(room) != params.k * params.r:

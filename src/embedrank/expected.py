@@ -102,9 +102,10 @@ E1_DIGEST = "e258a73753eedc5928426b412469ebff410f83f0412cc6861809b0470bd1f9d1"
 E2_DIGEST = "97c9637fe126e408875aaf728cd90a3a11b4b3ac89b530197018943360ff27c1"
 
 # Symmetric embedding in a 2-(85,21,5) design: number of weight-21 codewords
-# of the [85, rank+1] extended code whose last coordinate is 1, and the
-# number of symmetric designs assembled from them.  85 such codewords are the
-# minimum possible; e1 and e2 fall short, so neither embeds.
+# of the [85, rank+1] extended code (all of them; those whose last coordinate
+# is 1 number 21, 5 and 5), and the number of symmetric designs assembled
+# from them.  The 85 point rows of an embedding are such codewords, so 85 is
+# the minimum possible; e1 and e2 fall short, so neither embeds.
 SYM_W21 = {"ag": 85, "e1": 69, "e2": 69}
 SYM_DESIGNS = {"ag": 1, "e1": 0, "e2": 0}
 SYM_TARGET_PARAMS = (85, 21, 5)

@@ -269,10 +269,9 @@ class _Search:
         starts = np.diff(cell, prepend=-1) != 0
         counts = _splitter_counts(self.weights, seq, starts, np.ones(self.n, dtype=bool))
         root = _refine(self.weights, seq, cell, counts)
-        try:
-            self._node(root, 0, eq_first=True, improving=True, dominated=False, prefix=[])
-        except _Backjump:  # pragma: no cover - a jump level is never below the root
-            pass
+        # No _Backjump escapes the root: its children's jumps stop there, as
+        # no level is below 0, and a leaf at the root is the first, which never jumps.
+        self._node(root, 0, eq_first=True, improving=True, dominated=False, prefix=[])
 
     @property
     def gens(self) -> np.ndarray:

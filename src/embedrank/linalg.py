@@ -31,10 +31,6 @@ class MatGFp:
         self.p = p
         self.bits: list[int] | None = bits
         self.arr: np.ndarray | None = arr
-        if p == 2 and bits is None:
-            self.bits = [0] * nrows
-        if p != 2 and arr is None:
-            self.arr = np.zeros((nrows, ncols), dtype=np.uint8)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]], ncols: int, p: int) -> "MatGFp":
@@ -67,16 +63,6 @@ class MatGFp:
                     r ^= low
             return MatGFp(self.ncols, self.nrows, 2, bits=cols)
         return MatGFp(self.ncols, self.nrows, self.p, arr=self.arr.T.copy())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatGFp):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.to_lists() == other.to_lists()
-        )
 
     def __repr__(self) -> str:
         return f"MatGFp({self.nrows}x{self.ncols} over GF({self.p}))"

@@ -283,8 +283,8 @@ def test_c11_ag44_extended():
     unions = [w for w in words if all((w & m) == 0 or (w & m) == m for m in class_masks)]
     pu = len(unions)
     assert pu == expected.AG44_W128_PU
-    # the subcode walk finds the same words, in the order of the whole code's walk
-    assert parallel_union_codewords(code, gb.resolution, 128) == unions
+    # the subcode walk finds the same words
+    assert sorted(parallel_union_codewords(code, gb.resolution, 128)) == sorted(unions)
     assert (2 - 1) * comb(4**3, 2) == expected.AG44_THM5_REQUIRED
     assert pu >= expected.AG44_THM5_REQUIRED
     _report(11, "AG_3(4,4): rank 25, [336,24], 10290 w128 (2226 PU), 168 classes", t0)

@@ -11,7 +11,6 @@ import pytest
 import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
-    _walk_index,
     bent_quadratic,
     code_from_cols,
     code_from_bitrows,
@@ -302,13 +301,6 @@ def test_span_kernel_matches_gray_walk():
                 assert min_weight(code) == min(hist.keys() - {0})
 
 
-def test_walk_index_is_the_position_in_the_walk():
-    rng = random.Random(109)
-    for length, dim in ((7, 0), (12, 5), (65, 13), (200, 14)):
-        code = _random_code(rng, length, dim)
-        assert [_walk_index(code, x) for x in iter_codewords(code)] == list(range(code.size))
-
-
 def test_parallel_union_filter_matches_gray_walk():
     # codes spanned mostly by unions of classes, across limb and chunk boundaries
     rng = random.Random(108)
@@ -327,7 +319,7 @@ def test_parallel_union_filter_matches_gray_walk():
         res = Resolution(tuple(classes))
         for w in {0, length} | {x.bit_count() for x in unions}:
             want = [x for x in unions if x.bit_count() == w]
-            assert parallel_union_codewords(code, res, w) == want
+            assert sorted(parallel_union_codewords(code, res, w)) == sorted(want)
 
 
 def test_column_code_is_row_code_of_transpose(fano):

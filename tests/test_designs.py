@@ -16,7 +16,6 @@ from embedrank.designs import (
     emit_json,
     good_block,
     is_affine_resolvable,
-    is_simple,
     make_resolution,
     parallel_classes,
     parse_des,
@@ -103,14 +102,6 @@ def test_intersection_profile(fano, ag34):
     assert prof[0] == 21 * 6  # 21 classes, C(4,2) disjoint pairs each
 
 
-def test_is_simple(fano, ag34):
-    assert is_simple(fano)
-    assert is_simple(ag34)
-    assert not is_simple(derived(ag34, 0))
-    doubled = IncidenceStructure(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-    assert not is_simple(doubled)
-
-
 def test_affine_resolvable_detection(fano, ag34, ag34_resolution, pg34):
     assert is_affine_resolvable(fano) is None
     assert is_affine_resolvable(pg34) is None
@@ -172,7 +163,8 @@ def test_good_block_structure(ag34, ag34_gb):
     assert affine_family(ag34)[:3] == (4, 3, 4)
     s_params = verify_tdesign(gb.s, 2)
     assert (s_params.v, s_params.k, s_params.lam) == (16, 4, 1)
-    assert is_simple(gb.s)
+    # simple: no repeated block and no two points on the same blocks
+    assert len(set(gb.s.blocks)) == gb.s.b and len(set(gb.s.point_masks())) == gb.s.v
     assert gb.substructure.v == 48 and gb.substructure.b == 80
     assert set(gb.substructure.block_sizes()) == {12}
     assert gb.resolution.num_classes == 20 and gb.resolution.class_size == 4
@@ -223,9 +215,8 @@ def _reference_good_block(design, block_idx):
         groups[cut].append(j)
     if any(len(g) != q for g in groups.values()):
         return None
-    s = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} cut @{block_idx}",
-                           point_labels=der.point_labels)
-    if not is_simple(s):
+    s = IncidenceStructure(der.v, order, name=f"{design.name or 'design'} cut @{block_idx}")
+    if len(set(s.blocks)) != s.b or len(set(s.point_masks())) != s.v:
         return None
     expect_k = params.k // q
     if expect_k == 1:
@@ -241,7 +232,6 @@ def _reference_good_block(design, block_idx):
     sub = IncidenceStructure(
         res.v, [res.blocks[i] for i in sub_ids],
         name=f"{design.name or 'design'} sub @{block_idx}",
-        point_labels=res.point_labels,
     )
     by_parent = {i + (i >= block_idx): pos for pos, i in enumerate(sub_ids)}
     classes = [tuple(sorted(by_parent[j] for j in groups[cut])) for cut in order]
@@ -254,7 +244,7 @@ def _reference_good_block(design, block_idx):
 
 def _structure_fields(d):
     """Every field of a structure; IncidenceStructure equality compares (v, blocks) only."""
-    return (d.v, d.blocks, d.name, d.point_labels)
+    return (d.v, d.blocks, d.name)
 
 
 def _good_block_fields(gb):
@@ -281,6 +271,7 @@ def test_good_block_matches_restriction_reference(ag34, e1, e2):
     family += [
         _relabeled(ag34, seed, name) for seed, name in ((1, None), (2, "shuffled"), (3, None), (4, "labeled"))
     ]
+    family += [_relabeled(e1, 5, None), _relabeled(e2, 6, "e2 shuffled")]
     blocks = goods = 0
     for design in family:
         for j in range(design.b):
@@ -288,7 +279,7 @@ def test_good_block_matches_restriction_reference(ag34, e1, e2):
             assert _good_block_fields(got) == _good_block_fields(_reference_good_block(design, j)), (design.name, j)
             blocks += 1
             goods += got is not None
-    assert (blocks, goods) == (829, 669)
+    assert (blocks, goods) == (997, 677)
 
 
 def test_good_block_errors_match_reference(fano, pg34):

@@ -394,6 +394,19 @@ def _bit_count_room(rows, ncols, k):
     return [k - sum(row >> j & 1 for row in rows) for j in range(ncols)]
 
 
+def test_search_rows_are_the_residual_rows(ag34, e1, e2):
+    """The search's rows are the keep_empty residual's: substructure blocks, parallel blocks, a zero column."""
+    cases = [(ag34, 0), (ag34, 17), (_relabeled(ag34, random.Random(13)), 5)]
+    cases += [(d, j) for d in (e1, e2) for j in range(d.b) if good_block(d, j) is not None]
+    assert len(cases) == 11
+    for design, block in cases:
+        parallel = good_block(design, block).parallel
+        order = [j for j in range(design.b) if j != block and j not in parallel] + list(parallel)
+        res_masks = residual(design, block, keep_empty=True).point_masks()
+        want = [sum(1 << c for c, j in enumerate(order) if m >> (j - (j > block)) & 1) for m in res_masks]
+        assert _search_context(design, block, None).rows == want, (design.name, block)
+
+
 def test_room_is_k_minus_column_sums(monkeypatch, ag34, e1_found, e1_block, e1, e2):
     for design, block in ((ag34, 0), (ag34, 5), (ag34, 40), (ag34, 83), (e1_found, e1_block)):
         ctx = _search_context(design, block, None)
@@ -755,9 +768,6 @@ def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
         with pytest.raises(WrongParameters):
             embedding_search(ag34, 0, resolution=Resolution(tuple(tuple(c) for c in classes)))
 
-    # the removed block's column is zero in every residual row
-    labels = (ag34.blocks[0][0], *dpp.point_labels[1:])
-    internal("removed block", substructure=IncidenceStructure(dpp.v, dpp.blocks, point_labels=labels))
     # 1 + (per_candidate + 1) * class_size == r fails for classes of 3 blocks
     threes = Resolution(tuple(tuple(range(j, j + 3)) for j in range(0, dpp.b - 2, 3)))
     internal("union of classes", resolution=threes)
