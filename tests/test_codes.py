@@ -239,13 +239,31 @@ def test_caps_raise_too_large(monkeypatch):
         list(iter_codewords(code))
     with pytest.raises(TooLarge):
         weight_distribution(code)
-    with pytest.raises(TooLarge):
-        codewords_of_weight(code, 4)
+    for w in (0, 4, 30):
+        with pytest.raises(TooLarge):
+            codewords_of_weight(code, w)
     with pytest.raises(TooLarge):
         min_weight(code)
     singletons = Resolution(tuple((j,) for j in range(29)))
     with pytest.raises(CapExceeded):
         parallel_union_codewords(code, singletons, 2)
+
+
+def test_codewords_of_weight_zero_and_out_of_range_do_not_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked for a weight the length decides")
+
+    monkeypatch.setattr(codes_module, "_walk", no_walk)
+    monkeypatch.setattr(codes_module, "_odometer", no_walk)
+    code = rm_code(2, 4)
+    assert codewords_of_weight(code, 0) == [0]
+    for w in (-1, code.length + 1):
+        assert codewords_of_weight(code, w) == []
+    ternary = code_from_rows(MatGFp(2, 4, 3, arr=np.array([[1, 0, 1, 2], [0, 1, 1, 1]])))
+    (zero,) = codewords_of_weight(ternary, 0)
+    assert zero.dtype == np.int64 and not zero.any() and zero.shape == (4,)
+    for w in (-1, 5):
+        assert codewords_of_weight(ternary, w) == []
 
 
 def test_codewords_of_weight_matches_enumeration():
@@ -283,11 +301,14 @@ def _random_code(rng, length, dim):
             return code
 
 
-def test_span_kernel_matches_gray_walk():
-    # lengths around the 64-bit limb boundaries, dims around the 2^12-word chunk
+def test_span_kernel_matches_gray_walk(monkeypatch):
+    # lengths around the 64-bit limb boundaries, dims around the chunk width k
+    # (small widths and the shipped one); word i of the walk lies in chunk i >> k
     rng = random.Random(107)
-    for length in (1, 63, 64, 65, 129, 336):
-        for dim in (0, 1, 12, 13, 17):
+    split = absent = 0
+    for k, length in product((1, 4, codes_module._CHUNK_BITS), (1, 63, 64, 65, 129, 336)):
+        monkeypatch.setattr(codes_module, "_CHUNK_BITS", k)
+        for dim in sorted({0, 1, k - 1, k, k + 1, k + 4}):
             if dim > length:
                 continue
             code = _random_code(rng, length, dim)
@@ -295,15 +316,22 @@ def test_span_kernel_matches_gray_walk():
             hist = Counter(w.bit_count() for w in ref)
             assert weight_distribution(code).counts == dict(sorted(hist.items()))
             assert list(iter_codewords(code)) == ref
-            for w in (0, min(hist.keys() - {0}, default=1), max(hist, key=hist.get), length):
+            common = max(hist, key=hist.get)
+            missing = [w for w in range(1, length + 1) if w not in hist][:1]
+            for w in [0, min(hist.keys() - {0}, default=1), common, length] + missing:
                 assert codewords_of_weight(code, w) == [x for x in ref if x.bit_count() == w]
+            split += len({i >> k for i, x in enumerate(ref) if x.bit_count() == common}) > 1
+            absent += len(missing)
             if dim:
                 assert min_weight(code) == min(hist.keys() - {0})
+    assert split and absent
 
 
-def test_parallel_union_filter_matches_gray_walk():
+def test_parallel_union_filter_matches_gray_walk(monkeypatch):
     # codes spanned mostly by unions of classes, across limb and chunk boundaries
     rng = random.Random(108)
+    shipped = codes_module._CHUNK_BITS
+    split = 0
     for length, dim in ((12, 5), (65, 9), (130, 13), (336, 14)):
         coords = list(range(length))
         rng.shuffle(coords)
@@ -317,9 +345,18 @@ def test_parallel_union_filter_matches_gray_walk():
         unions = [x for x in ref if all(x & m in (0, m) for m in masks)]
         assert len(unions) > 2
         res = Resolution(tuple(classes))
-        for w in {0, length} | {x.bit_count() for x in unions}:
-            want = [x for x in unions if x.bit_count() == w]
-            assert sorted(parallel_union_codewords(code, res, w)) == sorted(want)
+        hist = Counter(x.bit_count() for x in unions)
+        # small widths: the commonest nonzero weight and a weight with no words;
+        # more than two words of one weight fill several 2-word chunks at k = 1
+        common = max(hist.keys() - {0}, key=hist.get)
+        split += hist[common] > 2
+        few = (common, min(set(range(1, length + 1)) - hist.keys()))
+        for k, weights in ((1, few), (4, few), (shipped, {0, length} | hist.keys())):
+            monkeypatch.setattr(codes_module, "_CHUNK_BITS", k)
+            for w in weights:
+                want = [x for x in unions if x.bit_count() == w]
+                assert sorted(parallel_union_codewords(code, res, w)) == sorted(want)
+    assert split
 
 
 def test_column_code_is_row_code_of_transpose(fano):
