@@ -129,7 +129,8 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     whole code's size is still compared with codes.DEFAULT_CAP, so
     CapExceeded is raised for the same codes as by a walk of the whole code.
     Returns the words as bitmasks, in the order the walk of the subcode
-    lists them.
+    lists them; w = 0 (the zero word) and w outside 1..length (no word) are
+    answered without a walk.
     """
     if code.p != 2:
         raise WrongParameters("parallel-union codewords are implemented over GF(2)")
@@ -137,6 +138,10 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     m = sum(map(len, resolution.classes))
     if m != code.length:
         raise WrongParameters(f"the resolution partitions {m} coordinates, not the code's {code.length}")
+    if w == 0:
+        return [0]
+    if not 0 < w <= code.length:
+        return []
     masks = resolution.masks()
     sub = code_from_bitrows(_union_basis(code, masks), code.length)
     return _weight_words(sub.basis_bits, sub.length, w)
@@ -370,28 +375,45 @@ def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceS
     return IncidenceStructure(len(all_rows), blocks, name=tag)
 
 
-# Candidates per chunk of the scan; bounds its (candidates x words) count table.
+# Candidates per chunk of the scan; bounds the (candidates x words / 8) lane
+# sums of `_hit_counts`, and the rows one `_hit_matrix` call builds.
 _SCAN_CHUNK = 1024
+
+# The low seven bits of every byte lane of a uint64.
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 
 class _ScanTable(NamedTuple):
     """The span words a candidate can turn into a new row, with their class counts.
 
-    words   limb-major uint64 columns, in Gray-walk order: the span words with
-            no parallel column whose counts can reach `target`
-    counts  counts[c, i] = |words[i] & class c|
-    target  the sum of counts[c, i] over a candidate's non-fixed classes that
-            makes words[i] XOR the candidate's row weigh r
+    words        limb-major uint64 columns, in Gray-walk order: the span words
+                 with no parallel column whose counts can reach `target`
+    counts       counts[c, i] = |words[i] & class c|
+    target       the sum of counts[c, i] over a candidate's non-fixed classes
+                 that makes words[i] XOR the candidate's row weigh r
+    lanes        `counts` as uint8 byte lanes, 8 words to a uint64, the width
+                 padded to a multiple of 8 with zero counts
+    lane_target  `target` in the same lanes, padded with 0xFF
     """
 
     words: np.ndarray
     counts: np.ndarray
     target: np.ndarray
+    lanes: np.ndarray
+    lane_target: np.ndarray
 
 
 def _popcount(cols: np.ndarray) -> np.ndarray:
     """Hamming weights of limb-major uint64 columns of at most 255 bits, as uint8."""
     return sum(np.bitwise_count(limb) for limb in cols)
+
+
+def _byte_lanes(values: np.ndarray, pad: int) -> np.ndarray:
+    """Rows of values below 256 as uint8 byte lanes, 8 to a uint64, padded with `pad` to a multiple of 8."""
+    width = values.shape[-1]
+    out = np.full(values.shape[:-1] + (-(-width // 8) * 8,), pad, dtype=np.uint8)
+    out[..., :width] = values
+    return out.view(np.uint64)
 
 
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
@@ -411,7 +433,31 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
     top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
     ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
-    return _ScanTable(words[:, ok], counts[:, ok], target[ok])
+    counts, target = counts[:, ok], target[ok]
+    return _ScanTable(words[:, ok], counts, target, _byte_lanes(counts, 0), _byte_lanes(target, 0xFF))
+
+
+def _hit_counts(table: _ScanTable, idx: np.ndarray) -> np.ndarray:
+    """The number of hits (see `_hit_matrix`) of each candidate whose other classes are the rows of `idx`.
+
+    Adds the candidate's class counts in byte lanes, eight words to a uint64.
+    The classes are disjoint, so a lane's sum is at most |s| < ncols <= 128
+    (the search refuses more columns): no lane carries into the next, and
+    none reaches the 0xFF that pads the target.  A word is a hit when its
+    byte of sums ^ target is zero, whatever the byte order.
+    ((x & 0x7F..) + 0x7F..) | x | 0x7F.. sets the low seven bits of every
+    byte and the high bit of exactly the nonzero ones, so a candidate's hits
+    are 64 per uint64 minus the bits set.
+    """
+    sums = np.zeros((len(idx), table.lanes.shape[1]), dtype=np.uint64)
+    for col in idx.T:
+        sums += np.take(table.lanes, col, axis=0)
+    sums ^= table.lane_target
+    high = sums & _LOW7
+    high += _LOW7
+    high |= sums
+    high |= _LOW7
+    return 64 * sums.shape[1] - np.bitwise_count(high).sum(axis=1, dtype=np.int64)
 
 
 def _hit_matrix(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +468,8 @@ def _hit_matrix(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tupl
     are disjoint, so |s ^ y| = |s| + r - 2 * (sum over y's classes of
     |s & class|): s ^ y weighs r exactly when the counts of y's other classes
     on s sum to table.target.  Returns hit[i, j], whether table.words[:, j]
-    ^ y_i weighs r, and the candidates' rows y as limb-major columns.
+    ^ y_i weighs r, and the candidates' rows y as limb-major columns.  The
+    scan builds these only for the candidates `_hit_counts` passes.
     """
     class_cols = _limbs(ctx.class_masks, ctx.ncols)
     base = _limbs([1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]], ctx.ncols)
@@ -437,14 +484,13 @@ def _hit_matrix(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tupl
 def _expand(
     table: _ScanTable, hit: np.ndarray, ys: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The hit words of the candidates `rows` of `hit`: each hit's candidate and its word.
+    """Each hit's candidate, from `rows` (the candidate of each row of `hit`), and its word.
 
     Words are limb-major columns, candidate by candidate, each candidate's in
     Gray-walk order.
     """
-    cand, pos = np.nonzero(hit[rows])
-    cand = rows[cand]
-    return cand, table.words[:, pos] ^ ys[:, cand]
+    cand, pos = np.nonzero(hit)
+    return rows[cand], table.words[:, pos] ^ ys[:, cand]
 
 
 def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
@@ -453,7 +499,8 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
     A candidate's hits (see `_hit_matrix`) that meet every old row in lambda
     are its rows for `_fill`; it is viable when `_fill` finds a completion
     among them.  The lambda test only removes hits, so a candidate with fewer
-    than `need` hits cannot be viable: only the others are expanded and tested.
+    than `need` hits cannot be viable: `_hit_counts` counts every candidate's
+    hits, and only the others have their hits built, expanded and tested.
     """
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
     combos = itertools.combinations(rest, ctx.per_candidate)
@@ -464,10 +511,10 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
         n = min(_SCAN_CHUNK, total - first)
         flat = itertools.chain.from_iterable(itertools.islice(combos, n))
         idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
-        hit, ys = _hit_matrix(ctx, table, idx)
-        counted = np.flatnonzero(np.count_nonzero(hit, axis=1) >= ctx.need)
+        counted = np.flatnonzero(_hit_counts(table, idx) >= ctx.need)
         if not len(counted):
             continue
+        hit, ys = _hit_matrix(ctx, table, idx[counted])
         cand, hits = _expand(table, hit, ys, counted)
         ok = np.ones(len(cand), dtype=bool)
         for row in row_cols.T:
@@ -505,11 +552,13 @@ def embedding_search(
     y into the whole span.  Those words meeting every old row in lambda are
     searched for k rows with pairwise intersection lambda that bring every
     column sum to k, which is exactly a completion to a design with the
-    parent's parameters.  The scan counts first: the lambda test only removes
-    words, so only candidates with at least k weight-r words have them built
-    and tested.  Designs are deduplicated per
-    candidate by canonical form and classified into isomorphism classes
-    across candidates.  Only the `_SEARCH_SIZES` instances are searched.
+    parent's parameters.  The scan counts first, eight words to a uint64 in
+    byte lanes, which never carry because a lane's sum is at most |s| < 128
+    (the search refuses more than 128 columns): the lambda test only removes
+    words, so only candidates with at least k weight-r words have their rows
+    of hits built and tested.  Designs are deduplicated per candidate by
+    canonical form and classified into isomorphism classes across candidates.
+    Only the `_SEARCH_SIZES` instances are searched.
 
     `resolution` defaults to the one the good block induces.  One passed in
     must be a resolution of the good block's substructure (its blocks in

@@ -35,6 +35,7 @@ from embedrank.designs import (
 from embedrank.embedding import (
     _expand,
     _fill,
+    _hit_counts,
     _hit_matrix,
     _room,
     _scan,
@@ -173,6 +174,26 @@ def test_parallel_union_walks_only_the_subcode(monkeypatch, ag34):
     assert (code.dim, sub_dim) == (16, 9)
     assert thm_taf_necessary(ag34) == (210, 210, True)
     assert sum(walked) == 1 << sub_dim
+
+
+def test_parallel_union_zero_and_out_of_range_do_not_walk(monkeypatch, ag34_gb):
+    walk = codes_module._walk
+    walked = []
+
+    def spy(basis, length):
+        walked.append(length)
+        return walk(basis, length)
+
+    monkeypatch.setattr(codes_module, "_walk", spy)
+    code = code_from_bitrows(ag34_gb.substructure.point_masks(), ag34_gb.substructure.b)
+    assert code.length == 80
+    assert parallel_union_codewords(code, ag34_gb.resolution, 0) == [0]
+    for w in (81, -1):
+        assert parallel_union_codewords(code, ag34_gb.resolution, w) == []
+    assert walked == []
+    # a weight in 1..length still walks the subcode
+    assert len(parallel_union_codewords(code, ag34_gb.resolution, 32)) == PU_WEIGHT32_BY_ORBIT[2]
+    assert walked
 
 
 def test_thm5_on_hyperplane_design(ag34):
@@ -486,11 +507,16 @@ def _relabeled(design, rng):
     return IncidenceStructure(design.v, blocks)
 
 
-def _non_good_resolutions(gb, group, res_list):
-    """One resolution from each Aut(D'')-orbit that misses the good block's resolution."""
+def _non_good_orbits(gb, group, res_list):
+    """The Aut(D'')-orbits of resolutions that miss the good block's resolution, as lists."""
     good = gb.resolution.as_sets()
     orbs = resolution_orbits(group, res_list)
-    return [res_list[orb[0]] for orb in orbs if all(res_list[i].as_sets() != good for i in orb)]
+    return [[res_list[i] for i in orb] for orb in orbs if all(res_list[i].as_sets() != good for i in orb)]
+
+
+def _non_good_resolutions(gb, group, res_list):
+    """One resolution from each Aut(D'')-orbit that misses the good block's resolution."""
+    return [orb[0] for orb in _non_good_orbits(gb, group, res_list)]
 
 
 def test_scan_matches_reference_loop(ag34, ag34_gb, dpp_group, dpp_resolutions):
@@ -553,9 +579,14 @@ def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_r
         assert _table_hits(ctx) == expected
 
 
+def _candidate_rows(ctx):
+    """Every candidate's non-fixed classes, one row each, as the scan passes them."""
+    return np.array(_combos(ctx), dtype=np.int8).reshape(-1, ctx.per_candidate)
+
+
 def _table_hits(ctx):
     """(candidate, word) for every hit of every candidate, expanded without the count gate."""
-    idx = np.array(_combos(ctx), dtype=np.int8).reshape(-1, ctx.per_candidate)
+    idx = _candidate_rows(ctx)
     table = _scan_table(ctx)
     hit, ys = _hit_matrix(ctx, table, idx)
     cand, words = _expand(table, hit, ys, np.arange(len(idx)))
@@ -601,6 +632,42 @@ def test_class_count_hits_on_random_contexts():
         assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
         total += len(expected)
     assert total > 100
+
+
+def _assert_hit_counts(ctx, table):
+    """`_hit_counts` equals the hit rows' counts of `_hit_matrix` on every candidate; returns them."""
+    idx = _candidate_rows(ctx)
+    counts = _hit_counts(table, idx)
+    assert counts.tolist() == np.count_nonzero(_hit_matrix(ctx, table, idx)[0], axis=1).tolist()
+    return counts
+
+
+def test_hit_counts_match_the_hit_matrix(ag34, dpp_resolutions):
+    """The byte-lane counts equal the int16 path's on every candidate.
+
+    Covers every resolution of AG_2(3,4)'s block-0 substructure, the good one
+    among them, and the random and planted contexts.  A table whose width is
+    not a multiple of 8 has pad lanes in its last uint64, which must never
+    count; a table with no word has no lanes, and every count is 0.
+    """
+    contexts = [_search_context(ag34, 0, res) for res in dpp_resolutions]
+    rng = random.Random(29)
+    contexts += [_random_context(rng, nclasses, size, npar) for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 4]
+    contexts += [_planted_context(rng, size, need, extra)[0] for need in (1, 4) for size, extra in [(3, 0), (5, 50)]]
+    widths, gated = set(), 0
+    for ctx in contexts:
+        table = _scan_table(ctx)
+        counts = _assert_hit_counts(ctx, table)
+        widths.add(table.words.shape[1] % 8)
+        gated += np.count_nonzero(counts >= ctx.need)
+    # counts at the gate are compared too: 16 in each resolution of the good orbit, and planted ones
+    assert len(dpp_resolutions) == 32 and gated > 32
+    assert widths - {0}
+    empty = table._replace(
+        words=table.words[:, :0], counts=table.counts[:, :0], target=table.target[:0],
+        lanes=table.lanes[:, :0], lane_target=table.lane_target[:0],
+    )
+    assert not _assert_hit_counts(ctx, empty).any()
 
 
 def _dot(a, x):
@@ -719,21 +786,27 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
 
 
 def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
-    """No candidate of a non-good resolution has `need` hits: none is expanded or lambda-tested."""
-    for res in _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions):
+    """No candidate of a non-good resolution has `need` hits: no hit row is built, expanded or lambda-tested."""
+    others = [res for orb in _non_good_orbits(ag34_gb, dpp_group, dpp_resolutions) for res in orb]
+    assert len(others) == 30
+    for res in others:
         ctx = _search_context(ag34, 0, res)
         table = _scan_table(ctx)
         with monkeypatch.context() as m:
+            built = _spy(m, "_hit_matrix")
             expanded = _spy(m, "_expand")
             popcounts = _spy(m, "_popcount")
             filled = _spy(m, "_fill")
             assert _scan(ctx, table) == []
-        assert (expanded, popcounts, filled) == ([], [], [])
+        assert (built, expanded, popcounts, filled) == ([], [], [], [])
+    # on the good resolution, hit rows are built for exactly the 16 viable candidates
     ctx = _search_context(ag34, 0, None)
     with monkeypatch.context() as m:
+        built = _spy(m, "_hit_matrix")
         filled = _spy(m, "_fill")
-        assert len(_scan(ctx, _scan_table(ctx))) == 16
-    assert len(filled) == 16
+        found = _scan(ctx, _scan_table(ctx))
+    assert len(found) == len(filled) == 16
+    assert [(ctx.fixed, *row) for _, _, idx in built for row in idx.tolist()] == [c for _, c, _ in found]
 
 
 def test_scan_one_limb_on_planes(monkeypatch):
