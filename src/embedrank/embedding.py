@@ -14,6 +14,7 @@ the symmetric completion work over GF(2), for designs whose q is a power of 2.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -292,7 +293,7 @@ def _search_context(
     ncols = dpp.b + len(gb.parallel) + 1
     if ncols > 128:
         raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
-    # The premise of the scan's class-count identity (see _hit_matrix).
+    # The premise of the scan's class-count identity (see _scan).
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
@@ -376,7 +377,7 @@ def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceS
 
 
 # Candidates per chunk of the scan; bounds the (candidates x words / 8) lane
-# sums of `_hit_counts`, and the rows one `_hit_matrix` call builds.
+# sums of `_hit_counts`.
 _SCAN_CHUNK = 1024
 
 # The low seven bits of every byte lane of a uint64.
@@ -386,21 +387,18 @@ _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 class _ScanTable(NamedTuple):
     """The span words a candidate can turn into a new row, with their class counts.
 
-    words        limb-major uint64 columns, in Gray-walk order: the span words
-                 with no parallel column whose counts can reach `target`
-    counts       counts[c, i] = |words[i] & class c|
-    target       the sum of counts[c, i] over a candidate's non-fixed classes
-                 that makes words[i] XOR the candidate's row weigh r
-    lanes        `counts` as uint8 byte lanes, 8 words to a uint64, the width
-                 padded to a multiple of 8 with zero counts
-    lane_target  `target` in the same lanes, padded with 0xFF
+    words   limb-major uint64 columns, in Gray-walk order: the span words with
+            no parallel column whose counts can reach `target`
+    lanes   lanes[c] holds |words[i] & class c| in byte lane i, eight words
+            to a uint64, the width padded to a multiple of 8 with zero counts
+    target  in the same lanes, the sum of the counts of a candidate's
+            non-fixed classes that makes words[i] XOR its row weigh r;
+            padded with 0xFF
     """
 
     words: np.ndarray
-    counts: np.ndarray
-    target: np.ndarray
     lanes: np.ndarray
-    lane_target: np.ndarray
+    target: np.ndarray
 
 
 def _popcount(cols: np.ndarray) -> np.ndarray:
@@ -433,74 +431,63 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
     top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
     ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
-    counts, target = counts[:, ok], target[ok]
-    return _ScanTable(words[:, ok], counts, target, _byte_lanes(counts, 0), _byte_lanes(target, 0xFF))
+    return _ScanTable(words[:, ok], _byte_lanes(counts[:, ok], 0), _byte_lanes(target[ok], 0xFF))
 
 
-def _hit_counts(table: _ScanTable, idx: np.ndarray) -> np.ndarray:
-    """The number of hits (see `_hit_matrix`) of each candidate whose other classes are the rows of `idx`.
+def _hit_counts(table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hits of each candidate whose other classes are the rows of `idx`: their number, and the lane sums.
 
-    Adds the candidate's class counts in byte lanes, eight words to a uint64.
-    The classes are disjoint, so a lane's sum is at most |s| < ncols <= 128
-    (the search refuses more columns): no lane carries into the next, and
-    none reaches the 0xFF that pads the target.  A word is a hit when its
-    byte of sums ^ target is zero, whatever the byte order.
-    ((x & 0x7F..) + 0x7F..) | x | 0x7F.. sets the low seven bits of every
-    byte and the high bit of exactly the nonzero ones, so a candidate's hits
-    are 64 per uint64 minus the bits set.
+    Adds the candidate's class counts in byte lanes and XORs the target, so
+    word i is a hit exactly when byte i of the candidate's row of sums is
+    zero.  ((x & 0x7F..) + 0x7F..) | x | 0x7F.. sets the low seven bits of
+    every byte and the high bit of exactly the nonzero ones, so a
+    candidate's hits are 64 per uint64 minus the bits set.
     """
     sums = np.zeros((len(idx), table.lanes.shape[1]), dtype=np.uint64)
     for col in idx.T:
         sums += np.take(table.lanes, col, axis=0)
-    sums ^= table.lane_target
+    sums ^= table.target
     high = sums & _LOW7
     high += _LOW7
     high |= sums
     high |= _LOW7
-    return 64 * sums.shape[1] - np.bitwise_count(high).sum(axis=1, dtype=np.int64)
+    return 64 * sums.shape[1] - np.bitwise_count(high).sum(axis=1, dtype=np.int64), sums
 
 
-def _hit_matrix(ctx: _SearchContext, table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which words s ^ y weigh r, for the candidates whose other classes are the rows of `idx`.
-
-    Candidate y is the last coordinate plus the fixed class plus the classes
-    in its row of `idx`.  No span word s meets the last column and the classes
-    are disjoint, so |s ^ y| = |s| + r - 2 * (sum over y's classes of
-    |s & class|): s ^ y weighs r exactly when the counts of y's other classes
-    on s sum to table.target.  Returns hit[i, j], whether table.words[:, j]
-    ^ y_i weighs r, and the candidates' rows y as limb-major columns.  The
-    scan builds these only for the candidates `_hit_counts` passes.
-    """
-    class_cols = _limbs(ctx.class_masks, ctx.ncols)
-    base = _limbs([1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]], ctx.ncols)
-    ys = np.repeat(base, len(idx), axis=1)
-    sums = np.zeros((len(idx), table.words.shape[1]), dtype=np.int16)
-    for col in idx.T:
-        sums += table.counts[col]
-        ys |= class_cols[:, col]
-    return sums == table.target, ys
-
-
-def _expand(
-    table: _ScanTable, hit: np.ndarray, ys: np.ndarray, rows: np.ndarray
+def _hit_words(
+    ctx: _SearchContext, table: _ScanTable, sums: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each hit's candidate, from `rows` (the candidate of each row of `hit`), and its word.
+    """Each hit's candidate and its word s ^ y, from the lane sums of the candidates whose other classes are `rows`.
 
-    Words are limb-major columns, candidate by candidate, each candidate's in
-    Gray-walk order.
+    A candidate is a position in `rows`; the words are limb-major columns,
+    candidate by candidate, each candidate's in Gray-walk order.
     """
-    cand, pos = np.nonzero(hit)
-    return rows[cand], table.words[:, pos] ^ ys[:, cand]
+    base = 1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]
+    ys = _limbs([base | sum(ctx.class_masks[c] for c in row) for row in rows.tolist()], ctx.ncols)
+    cand, pos = np.nonzero(sums.view(np.uint8)[:, : table.words.shape[1]] == 0)
+    return cand, table.words[:, pos] ^ ys[:, cand]
 
 
-def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
-    """The viable candidates, as (index, classes, solutions).
+def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
+    """The number of candidates, and the viable ones as (index, classes, solutions).
 
-    A candidate's hits (see `_hit_matrix`) that meet every old row in lambda
-    are its rows for `_fill`; it is viable when `_fill` finds a completion
-    among them.  The lambda test only removes hits, so a candidate with fewer
-    than `need` hits cannot be viable: `_hit_counts` counts every candidate's
-    hits, and only the others have their hits built, expanded and tested.
+    Candidate y is the last coordinate plus the fixed class plus one
+    combination of `per_candidate` other classes; it spans a code one
+    dimension above the residual's, whose words with the last coordinate set
+    are s ^ y for the residual's span words s.  No span word meets the last
+    column and the classes are disjoint, so |s ^ y| = |s| + r - 2 * (sum over
+    y's classes c of |s & c|): s ^ y weighs r, a hit, exactly when the counts
+    of y's other classes on s sum to the table's target.  `_hit_counts` adds
+    those counts in byte lanes.  The lanes never carry: the classes are
+    disjoint, so a lane's sum is at most |s| < ncols <= 128 (the search
+    refuses more columns), which also stays below the 0xFF that pads the
+    target, and the bytes read back in the order they were written, whatever
+    the byte order.
+
+    A candidate's hits that meet every old row in lambda are its rows for
+    `_fill`; it is viable when `_fill` finds a completion among them.  The
+    lambda test only removes hits, so a candidate with fewer than `need` hits
+    cannot be viable: only the others have their hit words built and tested.
     """
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
     combos = itertools.combinations(rest, ctx.per_candidate)
@@ -511,22 +498,38 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> list:
         n = min(_SCAN_CHUNK, total - first)
         flat = itertools.chain.from_iterable(itertools.islice(combos, n))
         idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
-        counted = np.flatnonzero(_hit_counts(table, idx) >= ctx.need)
+        counts, sums = _hit_counts(table, idx)
+        counted = np.flatnonzero(counts >= ctx.need)
         if not len(counted):
             continue
-        hit, ys = _hit_matrix(ctx, table, idx[counted])
-        cand, hits = _expand(table, hit, ys, counted)
+        rows = idx[counted]
+        cand, hits = _hit_words(ctx, table, sums[counted], rows)
         ok = np.ones(len(cand), dtype=bool)
         for row in row_cols.T:
             ok &= _popcount(hits & row[:, None]) == ctx.lam
         cand, hits = cand[ok], hits[:, ok]
-        bounds = np.searchsorted(cand, np.arange(n + 1))
+        bounds = np.searchsorted(cand, np.arange(len(rows) + 1))
         for i in np.flatnonzero(np.diff(bounds) >= ctx.need):
             cands = _words(hits[:, bounds[i] : bounds[i + 1]])
             solutions = _fill(cands, ctx.need, ctx.lam, ctx.room)
             if solutions:
-                found.append((first + int(i), (ctx.fixed, *map(int, idx[i])), solutions))
-    return found
+                found.append((first + int(counted[i]), (ctx.fixed, *map(int, rows[i])), solutions))
+    return total, found
+
+
+def _classify(old_rows: list[int], solutions, ncols: int, tag: str, check) -> dict[str, IncidenceStructure]:
+    """Digest -> completion, one per isomorphism class, in order of first appearance.
+
+    Each completion is `old_rows` plus one solution's rows, named `tag`;
+    InternalCheckFailed unless `check(completion)` holds for every one.
+    """
+    out: dict[str, IncidenceStructure] = {}
+    for sol in solutions:
+        d = _assemble(old_rows, sol, ncols, tag)
+        if not check(d):
+            raise InternalCheckFailed(f"{tag} does not have the parameters the search completes to")
+        out.setdefault(canonical_cert(d).digest, d)
+    return out
 
 
 def embedding_search(
@@ -537,28 +540,16 @@ def embedding_search(
 ) -> EmbeddingSearchResult:
     """Reconstruct every affine resolvable design over a residual, with the parent's parameters.
 
-    Builds the matrix of the residual structure at a good block: one row per
-    residual point; one column per substructure block, per block parallel to
-    the removed one, and a zero column for the removed block.  A candidate new
-    point row has weight r, the last coordinate set, and a support covering
-    the fixed parallel class (the one holding the lexicographically least
-    block) plus `per_candidate` of the others.  Each candidate y spans a code
-    one dimension above the residual's, whose words with the last coordinate
-    set are s ^ y for the residual's span words s.  No span word meets the
-    removed block's column and the classes are disjoint, so
-    |s ^ y| = |s| + |y| - 2 * sum over the classes c of y of |s & c|, with
-    |y| = r: the scan finds the weight-r words from a table of per-class
-    counts of the span words that meet no parallel column, instead of XORing
-    y into the whole span.  Those words meeting every old row in lambda are
-    searched for k rows with pairwise intersection lambda that bring every
-    column sum to k, which is exactly a completion to a design with the
-    parent's parameters.  The scan counts first, eight words to a uint64 in
-    byte lanes, which never carry because a lane's sum is at most |s| < 128
-    (the search refuses more than 128 columns): the lambda test only removes
-    words, so only candidates with at least k weight-r words have their rows
-    of hits built and tested.  Designs are deduplicated per candidate by
-    canonical form and classified into isomorphism classes across candidates.
-    Only the `_SEARCH_SIZES` instances are searched.
+    The residual structure at good block `block_idx` gets one row per
+    residual point, over one column per substructure block, per block
+    parallel to the removed one, and a zero column for the removed block.
+    Each candidate new row (see `_scan`) whose weight-r words meeting every
+    old row in lambda hold k rows with pairwise intersection lambda and
+    every column sum k is viable, and each such choice completes the
+    residual to a design with the parent's parameters.  A viable candidate's
+    completions are deduplicated by canonical form, and all are classified
+    into isomorphism classes across candidates.  Only the `_SEARCH_SIZES`
+    instances are searched.
 
     `resolution` defaults to the one the good block induces.  One passed in
     must be a resolution of the good block's substructure (its blocks in
@@ -567,41 +558,29 @@ def embedding_search(
     """
     _single_process(workers)
     ctx = _search_context(design, block_idx, resolution)
-    examined = comb(len(ctx.class_masks) - 1, ctx.per_candidate)
-    found = _scan(ctx, _scan_table(ctx))
+    examined, found = _scan(ctx, _scan_table(ctx))
+
+    def check(d: IncidenceStructure) -> bool:
+        params = verify_tdesign(d, 2)
+        return params == ctx.params and _affine_resolution(d, params) is not None
 
     designs: list[IncidenceStructure] = []
     records: list[CandidateRecord] = []
     # Digest -> first design and design count, in order of first appearance.
     reps: dict[str, IncidenceStructure] = {}
-    counts: dict[str, int] = {}
+    tally: Counter[str] = Counter()
     for idx, class_indices, solutions in found:
-        # Digest -> design, deduplicated within the candidate.
-        cand: dict[str, IncidenceStructure] = {}
-        for sol in solutions:
-            d = _assemble(ctx.rows, sol, ctx.ncols, tag=f"completion {idx}")
-            params = verify_tdesign(d, 2)
-            if params != ctx.params or _affine_resolution(d, params) is None:
-                raise InternalCheckFailed("completion is not affine resolvable with the parent's parameters")
-            cand.setdefault(canonical_cert(d).digest, d)
+        cand = _classify(ctx.rows, solutions, ctx.ncols, f"completion {idx}", check)
+        designs += cand.values()
         for digest, d in cand.items():
-            designs.append(d)
             reps.setdefault(digest, d)
-            counts[digest] = counts.get(digest, 0) + 1
-        records.append(
-            CandidateRecord(
-                candidate_index=idx,
-                class_indices=tuple(class_indices),
-                dim=len(ctx.basis) + 1,
-                n_designs=len(cand),
-                cert_digests=tuple(cand),
-            )
-        )
+            tally[digest] += 1
+        records.append(CandidateRecord(idx, class_indices, len(ctx.basis) + 1, len(cand), tuple(cand)))
     return EmbeddingSearchResult(
         candidates_examined=examined,
         viable_codes=len(records),
         designs=tuple(designs),
-        iso_classes=tuple((reps[dg], n) for dg, n in counts.items()),
+        iso_classes=tuple((reps[dg], n) for dg, n in tally.items()),
         records=tuple(records),
     )
 
@@ -661,12 +640,9 @@ def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
     ]
     solutions = _fill(cands, vp - design.v, lamp, _room(kp, design.block_sizes()))
 
-    # Digest -> design, one per isomorphism class.
-    out: dict[str, IncidenceStructure] = {}
-    for sol in solutions:
-        d = _assemble(old_rows, sol, b + 1, tag="symmetric completion")
+    def check(d: IncidenceStructure) -> bool:
         sp = verify_tdesign(d, 2)
-        if sp is None or (sp.v, sp.k, sp.lam) != (vp, kp, lamp) or not sp.symmetric:
-            raise InternalCheckFailed("assembled completion is not symmetric 2-(v', k', lam')")
-        out.setdefault(canonical_cert(d).digest, d)
+        return sp is not None and (sp.v, sp.k, sp.lam) == target and sp.symmetric
+
+    out = _classify(old_rows, solutions, b + 1, "symmetric completion", check)
     return SymEmbedding(designs=tuple(out.values()), weight_count=weight_count, target_params=target)

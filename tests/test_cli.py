@@ -398,6 +398,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# SHA-256 of each completion search's stdout on AG_2(3,4) (`gen ag 3 4 2`)
+SEARCH_STDOUT = {
+    "embed-search": "820851ffd0e4baf6e86694960e5e63e64edd83056d8e4ee27a4661a8bb736ca3",
+    "sym-embed": "17014d7cea92eedc103a0348e58716aa37874d289059e2e0cc12f972c69c88e5",
+}
+
+
 def test_reproduce_table1(capsys):
     assert run(["reproduce", "table1"]) == 0
     out = capsys.readouterr().out
@@ -477,7 +484,9 @@ def test_embed_search_exports_classes(tmp_path, capsys):
     assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
     out_dir = tmp_path / "classes"
     assert run(["embed-search", str(path), "0", "--out", str(out_dir)]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert _sha256(out) == SEARCH_STDOUT["embed-search"]
+    report = json.loads(out)
     assert report["candidates_examined"] == 3876
     assert report["viable_codes"] == 16
     assert sorted(c["multiplicity"] for c in report["iso_classes"]) == [4, 12]
@@ -486,6 +495,15 @@ def test_embed_search_exports_classes(tmp_path, capsys):
     for path2 in exports:
         params = verify_tdesign(parse_des(path2.read_text()), 2)
         assert (params.v, params.k, params.lam) == (64, 16, 5)
+
+
+def test_sym_embed_ag34_stdout(tmp_path, capsys):
+    path = tmp_path / "ag.des"
+    assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
+    assert run(["sym-embed", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["target_params"] == [85, 21, 5]
+    assert _sha256(out) == SEARCH_STDOUT["sym-embed"]
 
 
 def test_reproduce_section5(capsys):

@@ -33,10 +33,9 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
-    _expand,
     _fill,
     _hit_counts,
-    _hit_matrix,
+    _hit_words,
     _room,
     _scan,
     _scan_table,
@@ -402,6 +401,19 @@ def test_completion_check_walks_pairs_once(monkeypatch):
     assert len(walks) == 1 + len(assembled)
 
 
+def test_failed_completion_check_raises(monkeypatch):
+    """A completion failing its search's parameter check raises in both searches."""
+    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    monkeypatch.setattr(embedding, "verify_tdesign", lambda design, t: None)
+    assembled = _spy(monkeypatch, "_assemble")
+    with pytest.raises(InternalCheckFailed, match=r"^completion \d+ does not have"):
+        embedding_search(planes, 0)
+    with pytest.raises(InternalCheckFailed, match="symmetric completion does not have"):
+        sym_embedding_search(planes)
+    assert len(assembled) == 2
+
+
 def test_search_constants_are_derived(ag34, e1_found, e1_block):
     for design, block in ((ag34, 0), (e1_found, e1_block)):
         ctx = _search_context(design, block, None)
@@ -488,7 +500,7 @@ def _reference_args(ctx):
 
 
 def _scan_all(ctx):
-    return _scan(ctx, _scan_table(ctx))
+    return _scan(ctx, _scan_table(ctx))[1]
 
 
 def _assert_scan_matches(design, block, resolution=None):
@@ -546,6 +558,17 @@ def test_search_classes_invariant_under_relabeling(ag34):
     assert classes == {canonical_cert(ag34).digest: 4, E1_DIGEST: 12}
 
 
+def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2):
+    """A seeded relabeling of ag, e1 or e2 keeps the weight-k' count and the completions' digests."""
+    for seed, design in enumerate((ag34, e1, e2), 1):
+        base = sym_embedding_search(design)
+        moved = sym_embedding_search(_relabeled(design, random.Random(seed)))
+        digests = {canonical_cert(d).digest for d in base.designs}
+        assert moved.weight_count == base.weight_count
+        assert {canonical_cert(d).digest for d in moved.designs} == digests
+        assert digests == ({canonical_cert(pg34).digest} if design is ag34 else set())
+
+
 def _reference_hits(ctx):
     """(candidate, word) for every weight-r word s ^ y meeting no parallel column, from the full span."""
     combos, fixed, class_masks, lo, hi, _, room, r, _, _ = _reference_args(ctx)
@@ -585,11 +608,11 @@ def _candidate_rows(ctx):
 
 
 def _table_hits(ctx):
-    """(candidate, word) for every hit of every candidate, expanded without the count gate."""
+    """(candidate, word) for every hit of every candidate, read off the lane sums without the count gate."""
     idx = _candidate_rows(ctx)
     table = _scan_table(ctx)
-    hit, ys = _hit_matrix(ctx, table, idx)
-    cand, words = _expand(table, hit, ys, np.arange(len(idx)))
+    _, sums = _hit_counts(table, idx)
+    cand, words = _hit_words(ctx, table, sums, idx)
     return list(zip(cand.tolist(), _words(words)))
 
 
@@ -635,20 +658,29 @@ def test_class_count_hits_on_random_contexts():
 
 
 def _assert_hit_counts(ctx, table):
-    """`_hit_counts` equals the hit rows' counts of `_hit_matrix` on every candidate; returns them."""
+    """`_hit_counts`' counts are the zero bytes of its lane sums on every candidate; returns them.
+
+    Pad lanes hold 0 ^ 0xFF and never count.
+    """
     idx = _candidate_rows(ctx)
-    counts = _hit_counts(table, idx)
-    assert counts.tolist() == np.count_nonzero(_hit_matrix(ctx, table, idx)[0], axis=1).tolist()
+    counts, sums = _hit_counts(table, idx)
+    width = table.words.shape[1]
+    lanes = sums.view(np.uint8)
+    assert lanes.shape == (len(idx), -(-width // 8) * 8)
+    assert (lanes[:, width:] == 0xFF).all()
+    assert counts.tolist() == np.count_nonzero(lanes[:, :width] == 0, axis=1).tolist()
     return counts
 
 
 def test_hit_counts_match_the_hit_matrix(ag34, dpp_resolutions):
-    """The byte-lane counts equal the int16 path's on every candidate.
+    """The bit-trick counts equal the number of zero bytes of the lane sums on every candidate.
 
     Covers every resolution of AG_2(3,4)'s block-0 substructure, the good one
     among them, and the random and planted contexts.  A table whose width is
     not a multiple of 8 has pad lanes in its last uint64, which must never
-    count; a table with no word has no lanes, and every count is 0.
+    count; a table with no word has no lanes, and every count is 0.  Which
+    bytes are zero is checked against the reference by the hit tests, which
+    read the hits off the same sums.
     """
     contexts = [_search_context(ag34, 0, res) for res in dpp_resolutions]
     rng = random.Random(29)
@@ -663,10 +695,7 @@ def test_hit_counts_match_the_hit_matrix(ag34, dpp_resolutions):
     # counts at the gate are compared too: 16 in each resolution of the good orbit, and planted ones
     assert len(dpp_resolutions) == 32 and gated > 32
     assert widths - {0}
-    empty = table._replace(
-        words=table.words[:, :0], counts=table.counts[:, :0], target=table.target[:0],
-        lanes=table.lanes[:, :0], lane_target=table.lane_target[:0],
-    )
+    empty = table._replace(words=table.words[:, :0], lanes=table.lanes[:, :0], target=table.target[:0])
     assert not _assert_hit_counts(ctx, empty).any()
 
 
@@ -769,15 +798,15 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
         at_gate = below_gate = 0
         for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 8:
             ctx = _random_context(rng, nclasses, size, npar, need)
-            assert len(_combos(ctx)) <= embedding._SCAN_CHUNK  # one chunk: rows are candidate indices
-            counts = [0] * len(_combos(ctx))
+            combos = _combos(ctx)
+            counts = [0] * len(combos)
             for i, _ in _reference_hits(ctx):
                 counts[i] += 1
             with monkeypatch.context() as m:
-                expanded = _spy(m, "_expand")
+                expanded = _spy(m, "_hit_words")
                 assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
-            rows = [i for _, _, _, cands in expanded for i in cands.tolist()]
-            assert rows == [i for i, c in enumerate(counts) if c >= need]
+            rows = [tuple(row) for *_, idx in expanded for row in idx.tolist()]
+            assert rows == [combos[i] for i, c in enumerate(counts) if c >= need]
             at_gate += counts.count(need)
             below_gate += counts.count(need - 1)
         assert at_gate
@@ -786,27 +815,26 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
 
 
 def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
-    """No candidate of a non-good resolution has `need` hits: no hit row is built, expanded or lambda-tested."""
+    """No candidate of a non-good resolution has `need` hits: no hit word is built or lambda-tested."""
     others = [res for orb in _non_good_orbits(ag34_gb, dpp_group, dpp_resolutions) for res in orb]
     assert len(others) == 30
     for res in others:
         ctx = _search_context(ag34, 0, res)
         table = _scan_table(ctx)
         with monkeypatch.context() as m:
-            built = _spy(m, "_hit_matrix")
-            expanded = _spy(m, "_expand")
+            built = _spy(m, "_hit_words")
             popcounts = _spy(m, "_popcount")
             filled = _spy(m, "_fill")
-            assert _scan(ctx, table) == []
-        assert (built, expanded, popcounts, filled) == ([], [], [], [])
-    # on the good resolution, hit rows are built for exactly the 16 viable candidates
+            assert _scan(ctx, table) == (3876, [])
+        assert (built, popcounts, filled) == ([], [], [])
+    # on the good resolution, hit words are built for exactly the 16 viable candidates
     ctx = _search_context(ag34, 0, None)
     with monkeypatch.context() as m:
-        built = _spy(m, "_hit_matrix")
+        built = _spy(m, "_hit_words")
         filled = _spy(m, "_fill")
-        found = _scan(ctx, _scan_table(ctx))
+        _, found = _scan(ctx, _scan_table(ctx))
     assert len(found) == len(filled) == 16
-    assert [(ctx.fixed, *row) for _, _, idx in built for row in idx.tolist()] == [c for _, c, _ in found]
+    assert [(ctx.fixed, *row) for *_, idx in built for row in idx.tolist()] == [c for _, c, _ in found]
 
 
 def test_scan_one_limb_on_planes(monkeypatch):
