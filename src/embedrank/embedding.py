@@ -387,8 +387,9 @@ _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 class _ScanTable(NamedTuple):
     """The span words a candidate can turn into a new row, with their class counts.
 
-    words   limb-major uint64 columns, in Gray-walk order: the span words with
-            no parallel column whose counts can reach `target`
+    words   limb-major uint64 columns: the span words with no parallel
+            column whose counts can reach `target`, in the order of the
+            Gray walk of the whole span
     lanes   lanes[c] holds |words[i] & class c| in byte lane i, eight words
             to a uint64, the width padded to a multiple of 8 with zero counts
     target  in the same lanes, the sum of the counts of a candidate's
@@ -415,22 +416,46 @@ def _byte_lanes(values: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
-    """The span words that meet no parallel column and can weigh r under some candidate."""
-    span = _span_table(_limbs(ctx.basis, ctx.ncols))
-    par = _limbs([sum(1 << j for j, c in enumerate(ctx.room) if c == 0)], ctx.ncols)
-    keep = np.ones(span.shape[1], dtype=bool)
-    for limb, mask in zip(span, par[:, 0]):
-        keep &= (limb & mask) == 0
-    words = span[:, keep]
-    del span  # the full span is the search's largest array; free it before the counts
+    """The span words that meet no parallel column and can weigh r under some candidate.
+
+    Only the parallel-free subcode is spanned: each basis row is reduced
+    against the parallel columns (those with room 0), tagged with the basis
+    rows XORed into it, and the rows whose parallel bits vanish span the
+    subcode.  A word's tag holds the basis rows at the set bits of gray(i)
+    for its position i in the Gray walk of the whole span, so the inverse
+    Gray code of the tag is i, and the kept words are put in that order.
+    A tag takes one 64-bit limb, so the basis may have at most 64 rows (the
+    searched sizes have 15); more raise OverflowError.
+
+    A word can weigh r when its target lies between 0 and the largest sum of
+    `per_candidate` non-fixed class counts.  For counts 0 <= a_c <= m, that
+    sum is the sum over v = 1..m of min(#{c : a_c >= v}, per_candidate),
+    with m the largest class's column count.
+    """
+    n, k = ctx.ncols, len(ctx.basis)
+    par = sum(1 << j for j, c in enumerate(ctx.room) if c == 0)
+    # A basis row's parallel bits, then its tag, then the row: after the
+    # RREF, the rows whose pivot lies past the parallel bits hold a basis of
+    # the subcode, each word with its tag.
+    tagged = [row & par | 1 << (n + j) | row << (n + k) for j, row in enumerate(ctx.basis)]
+    rref, pivots = mat_rref(MatGFp.from_bitrows(tagged, 2 * n + k))
+    free = [row >> n for row, piv in zip(rref.bits, pivots) if piv >= n]
+    cols = _limbs([f >> k for f in free], n)
+    span = _span_table(np.vstack((cols, _limbs([f & ((1 << k) - 1) for f in free], 64))))
+    words, pos = span[: len(cols)], span[len(cols)]
     counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
     for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
         counts[c] = _popcount(words & mask[:, None])
     weight = _popcount(words)
     target = weight // 2 - counts[ctx.fixed]
-    others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
-    top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
-    ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
+    others = np.delete(counts, ctx.fixed, axis=0)
+    largest = max((m.bit_count() for m in ctx.class_masks), default=0)
+    top = sum(np.minimum(np.count_nonzero(others >= v, axis=0), ctx.per_candidate) for v in range(1, largest + 1))
+    ok = np.flatnonzero((weight % 2 == 0) & (target >= 0) & (target <= top))
+    pos = pos[ok]
+    for shift in (1, 2, 4, 8, 16, 32):
+        pos ^= pos >> shift
+    ok = ok[np.argsort(pos)]
     return _ScanTable(words[:, ok], _byte_lanes(counts[:, ok], 0), _byte_lanes(target[ok], 0xFF))
 
 

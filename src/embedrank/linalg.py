@@ -41,8 +41,10 @@ class MatGFp:
         if p == 2:
             bits = [sum((int(x) & 1) << j for j, x in enumerate(r)) for r in rows]
             return cls(len(rows), ncols, 2, bits=bits)
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
-        return cls(len(rows), ncols, p, arr=arr.astype(np.uint8))
+        # checks p before the reduction divides by it
+        out = cls(len(rows), ncols, p)
+        out.arr = (np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p).astype(np.uint8)
+        return out
 
     @classmethod
     def from_bitrows(cls, bitrows: Sequence[int], ncols: int) -> "MatGFp":

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -214,6 +215,17 @@ def test_gen_code_designs(tmp_path):
 def test_rank_other_modulus(fano_file, capsys):
     assert run(["rank", fano_file, "-p", "7"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def test_zero_modulus_is_one_error_line(fano_file, capsys):
+    """p = 0 is refused before any arithmetic mod p: no numpy warning precedes the JSON error."""
+    for argv in (["rank", fano_file], ["embeddable", fano_file, "0"], ["wdist", fano_file, "--cols"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "-p", "0"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonPrimeModulus"
 
 
 def test_wdist_csv(fano_file, capsys):

@@ -33,9 +33,11 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
+    _byte_lanes,
     _fill,
     _hit_counts,
     _hit_words,
+    _popcount,
     _room,
     _scan,
     _scan_table,
@@ -852,6 +854,79 @@ def test_scan_one_limb_on_planes(monkeypatch):
     assert [rec.candidate_index for rec in result.records] == [
         idx for idx, _, _ in _reference_scan(_reference_args(ctx))
     ]
+
+
+def _reference_table(ctx):
+    """`_scan_table` the long way: the whole span, the parallel columns filtered out, the bound by a sort."""
+    span = _span_table(_limbs(ctx.basis, ctx.ncols))
+    par = _limbs([sum(1 << j for j, c in enumerate(ctx.room) if c == 0)], ctx.ncols)
+    keep = np.ones(span.shape[1], dtype=bool)
+    for limb, mask in zip(span, par[:, 0]):
+        keep &= (limb & mask) == 0
+    words = span[:, keep]
+    counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
+    for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
+        counts[c] = _popcount(words & mask[:, None])
+    weight = _popcount(words)
+    target = weight // 2 - counts[ctx.fixed]
+    others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
+    top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
+    ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
+    return words[:, ok], _byte_lanes(counts[:, ok], 0), _byte_lanes(target[ok], 0xFF)
+
+
+def _assert_table_matches(ctx):
+    """`_scan_table(ctx)` equals the reference field by field, in dtype, shape, bytes and order; returns its width."""
+    table = _scan_table(ctx)
+    for got, want in zip(table, _reference_table(ctx), strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    return table.words.shape[1]
+
+
+def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_block, monkeypatch):
+    """The table spanned on the parallel-free subcode is the whole span's, filtered, in walk order.
+
+    Covers every resolution of AG_2(3,4)'s block-0 substructure, a relabeled
+    AG_2(3,4), e1 at the block its search starts from, AG_2(3,2) in one limb,
+    the random and planted contexts, random contexts with no parallel column,
+    and random contexts where a basis row has only parallel bits.
+    """
+    widths = [_assert_table_matches(_search_context(ag34, 0, res)) for res in dpp_resolutions]
+    rng = random.Random(3)
+    relabeled = _relabeled(ag34, rng)
+    widths.append(_assert_table_matches(_search_context(relabeled, rng.randrange(relabeled.b), None)))
+    widths.append(_assert_table_matches(_search_context(e1_found, e1_block, None)))
+    with monkeypatch.context() as m:
+        m.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+        planes, _ = ag_design(3, 2, 2)
+        widths += [_assert_table_matches(_search_context(planes, block, None)) for block in (0, 5, 13)]
+    rng = random.Random(31)
+    for nclasses, size, npar in [(6, 3, 2), (10, 7, 3), (6, 3, 0), (10, 7, 0)] * 4:
+        widths.append(_assert_table_matches(_random_context(rng, nclasses, size, npar)))
+    for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 4:
+        ctx = _random_context(rng, nclasses, size, npar)
+        width = nclasses * size
+        rref, _ = mat_rref(MatGFp.from_bitrows(ctx.rows + [rng.randrange(1, 1 << npar) << width], ctx.ncols))
+        ctx = ctx._replace(basis=rref.bits)
+        assert any(row and not row & ((1 << width) - 1) for row in ctx.basis)
+        widths.append(_assert_table_matches(ctx))
+    for need in (1, 4):
+        for size, extra in [(3, 0), (5, 50)]:
+            widths.append(_assert_table_matches(_planted_context(rng, size, need, extra)[0]))
+    assert min(widths[:32]) == 131 and max(widths[:32]) == 203
+    assert sum(widths) > 5000
+
+
+def test_scan_table_spans_only_the_parallel_free_subcode(ag34, monkeypatch):
+    """The widest span `_scan_table` builds on AG_2(3,4) has 2^(15 - 3) words, never the whole span's 2^15."""
+    ctx = _search_context(ag34, 0, None)
+    par = sum(1 << j for j, c in enumerate(ctx.room) if c == 0)
+    par_rank = mat_rank(MatGFp.from_bitrows([row & par for row in ctx.basis], ctx.ncols))
+    assert (len(ctx.basis), par_rank) == (15, 3)
+    spans = _spy(monkeypatch, "_span_table")
+    _scan_table(ctx)
+    assert max(1 << rows.shape[1] for rows, in spans) == 1 << 12 == 1 << (len(ctx.basis) - par_rank)
 
 
 def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
