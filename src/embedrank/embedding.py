@@ -371,8 +371,18 @@ def _fill(cands: list[int], need: int, lam: int, room: list[int]) -> list[tuple[
 
 
 def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceStructure:
+    """The structure whose point i lies in block j when bit j of row i is set.
+
+    The rows are `old_rows` then `new_rows`; bits from `ncols` up are ignored.
+    """
     all_rows = list(old_rows) + list(new_rows)
-    blocks = [tuple(i for i, r in enumerate(all_rows) if r >> j & 1) for j in range(ncols)]
+    blocks: list[list[int]] = [[] for _ in range(ncols)]
+    for i, r in enumerate(all_rows):
+        r &= (1 << ncols) - 1
+        while r:
+            low = r & -r
+            blocks[low.bit_length() - 1].append(i)
+            r ^= low
     return IncidenceStructure(len(all_rows), blocks, name=tag)
 
 

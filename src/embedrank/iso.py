@@ -85,6 +85,11 @@ from .errors import WrongParameters
 # and the Schreier generators kept per step off the first path.
 _ORBIT_BLOCK = 32
 
+# The search's arrays hold about n = 150 entries, where numpy's Python-level
+# wrappers (np.cumsum, np.argsort, ndarray.any, np.array_equal, np.diff) cost
+# more than the work they wrap.  So the hot path calls array methods and ufunc
+# reductions directly and compares arrays as bytes or lists.
+
 
 def _splitter_counts(
     weights: np.ndarray, seq: np.ndarray, starts: np.ndarray, queued: np.ndarray
@@ -96,7 +101,7 @@ def _splitter_counts(
     matrix as float32, so the product runs in BLAS and stays exact (counts are
     at most n, far below 2^24).
     """
-    cols = np.cumsum(starts & queued)[queued] - 1
+    cols = (starts & queued).cumsum()[queued] - 1
     members = np.zeros((len(seq), int(cols[-1]) + 1 if len(cols) else 0), dtype=np.float32)
     members[seq[queued], cols] = 1
     return weights @ members
@@ -119,12 +124,12 @@ def _refine(weights: np.ndarray, seq: np.ndarray, cell: np.ndarray, counts: np.n
         rows = counts[seq]
         differs = rows[1:] != rows[:-1]
         differs &= same[:, None]
-        splits = differs.any(axis=0)
+        splits = np.logical_or.reduce(differs, axis=0)
         j = int(splits.argmax())
         if not splits[j]:
             break
         key = cell * (n + 1) + rows[:, j]
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         seq = seq[order]
         key = key[order]
         split_cells = np.zeros(n, dtype=bool)
@@ -134,7 +139,7 @@ def _refine(weights: np.ndarray, seq: np.ndarray, cell: np.ndarray, counts: np.n
         starts[0] = True
         np.not_equal(key[1:], key[:-1], out=starts[1:])
         same = ~starts[1:]
-        cell = np.cumsum(starts) - 1
+        cell = starts.cumsum() - 1
         counts = np.concatenate(
             [counts[:, j + 1 :], _splitter_counts(weights, seq, starts, queued)], axis=1
         )
@@ -158,9 +163,9 @@ def _orbit_labels(gens, n: int) -> np.ndarray:
         before = labels
         for i in range(0, len(gens), _ORBIT_BLOCK):
             block = np.asarray(gens[i : i + _ORBIT_BLOCK], dtype=np.intp)
-            labels = np.minimum(labels, labels[block].min(axis=0))
+            labels = np.minimum(labels, np.minimum.reduce(labels[block]))
         labels = labels[labels]
-        if np.array_equal(labels, before):
+        if labels.tobytes() == before.tobytes():
             break
     return labels
 
@@ -186,24 +191,24 @@ def _schreier_step(rows: np.ndarray, x: int) -> np.ndarray:
     subgroup of the stabilizer: enough to prune by, and never more.
     """
     n = rows.shape[1]
-    identity = np.arange(n)
+    identity = np.arange(n, dtype=np.intp)
+    identity_key = identity.tobytes()
     transversal = {x: (identity, identity)}  # y -> (u_y, u_y^-1)
     queue = [x]
     found: dict[bytes, np.ndarray] = {}
     for y in queue:
-        u = transversal[y][0]
-        for s in rows:
-            su = s[u]
-            z = int(su[x])
+        products = rows[:, transversal[y][0]]  # row i is s_i u_y
+        for su, z in zip(products, products[:, x].tolist()):
             if z not in transversal:
                 inverse = np.empty(n, dtype=np.intp)
                 inverse[su] = identity
-                transversal[z] = (su, inverse)
+                # a copy: a view would keep all of `products` alive
+                transversal[z] = (su.copy(), inverse)
                 queue.append(z)
                 continue
             g = transversal[z][1][su]
             key = g.tobytes()
-            if key not in found and not np.array_equal(g, identity):
+            if key not in found and key != identity_key:
                 found[key] = g
                 if len(found) == _ORBIT_BLOCK:
                     return np.array(list(found.values()))
@@ -297,7 +302,7 @@ class _Search:
         """
         gamma = np.empty(self.n, dtype=np.intp)
         gamma[order] = ref_order
-        if not np.array_equal(self.adj[np.ix_(gamma, gamma)], self.adj):
+        if not (self.adj[np.ix_(gamma, gamma)] == self.adj).all():
             return None
         key = gamma.tobytes()
         if key not in self._gen_keys and not (gamma == np.arange(self.n)).all():
@@ -324,7 +329,7 @@ class _Search:
             return
         ref_order, ref_prefix = stored
         gamma = self._record_automorphism(ref_order, order)
-        if gamma is None or not np.array_equal(gamma[prefix], ref_prefix):
+        if gamma is None or tuple(gamma[prefix].tolist()) != ref_prefix:
             return
         self.backjumps += 1
         raise _Backjump(_common_length(prefix, ref_prefix))
@@ -334,7 +339,7 @@ class _Search:
     def _fixing(self, points: list[int]) -> np.ndarray:
         """The found generators that fix every vertex of `points`."""
         rows = self.gens
-        return rows[(rows[:, points] == points).all(axis=1)] if points else rows
+        return rows[np.logical_and.reduce(rows[:, points] == points, axis=1)] if points else rows
 
     def _pruning_rows(self, prefix: list[int]) -> np.ndarray:
         """Found automorphisms fixing every vertex of `prefix`, to prune its children by.
@@ -364,8 +369,12 @@ class _Search:
         self.nodes += 1
         del self._chain[depth:]
         seq, cell = partition
-        starts = np.flatnonzero(np.diff(cell, prepend=-1))
-        sizes = np.diff(starts, append=self.n)
+        edges = np.empty(self.n + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(cell[1:], cell[:-1], out=edges[1:-1])
+        bounds = edges.nonzero()[0]
+        starts = bounds[:-1]
+        sizes = bounds[1:] - starts
         inv = tuple(sizes.tolist())
         if not self._leaves:
             self.first_path.append(inv)
@@ -395,7 +404,7 @@ class _Search:
             self._leaf(seq, prefix, improving, dominated)
             return
 
-        target = int(np.argmin(np.where(sizes > 1, sizes, self.n + 1)))
+        target = int(np.where(sizes > 1, sizes, self.n + 1).argmin())
         lo = int(starts[target])
         hi = lo + int(sizes[target])
         members = seq[lo:hi]
@@ -408,9 +417,9 @@ class _Search:
         for v in sorted(members.tolist()):
             if processed:
                 if built != self.ngens:
-                    labels = _orbit_labels(self._pruning_rows(prefix), self.n)
+                    labels = _orbit_labels(self._pruning_rows(prefix), self.n).tolist()
                     built = self.ngens
-                if (labels[processed] == labels[v]).any():
+                if any(labels[p] == labels[v] for p in processed):
                     continue
             child_seq = seq.copy()
             child_seq[lo] = v

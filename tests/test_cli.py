@@ -293,6 +293,29 @@ def test_goodblocks_cli(tmp_path, capsys):
     assert capsys.readouterr().out.split() == [str(j) for j in range(12)]
 
 
+# stdout pinned by SHA-256 or exact text here and in CI's numpy-only install step
+def test_goodblocks_of_the_searched_designs(tmp_path, capsys):
+    path = tmp_path / "ag34.des"
+    assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
+    assert run(["goodblocks", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 84
+    assert _sha256(out) == "1ac55b0c1f4091d1d8fdf3f5ad072ba4133c95c279a8aa33afe37d271f5fc040"
+    data = Path(embedrank.__file__).parent / "data"
+    for name, blocks in (("e1", "20 21 82 83"), ("e2", "0 73 78 79")):
+        assert run(["goodblocks", str(data / f"{name}.des")]) == 0
+        assert capsys.readouterr().out.splitlines() == blocks.split()
+
+
+def test_wdist_rows_of_ag443(tmp_path, capsys):
+    # a 2^25-word, 6-limb walk over many chunks, pinned by its weight distribution
+    path = tmp_path / "ag443.des"
+    assert run(["gen", "ag", "4", "4", "3", "-o", str(path)]) == 0
+    assert run(["wdist", str(path), "--rows"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "83a123ae2f7c9f77aae2eded23d9cac82b57bb482cac954fd74a2d32f8734953"
+
+
 def test_embeddable_cli(fano_file, capsys):
     assert run(["embeddable", fano_file, "0"]) == 0
     report = json.loads(capsys.readouterr().out)

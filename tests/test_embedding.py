@@ -550,18 +550,33 @@ def test_scan_matches_reference_loop_on_found_e1(e1_found, e1_block):
     assert len(_assert_scan_matches(e1_found, e1_block)) == 16
 
 
-def test_search_classes_invariant_under_relabeling(ag34):
+def _assert_assembled_by_columns(assemble, calls):
+    """Each recorded _assemble call gives the blocks of the column-by-column expression."""
+    assert calls
+    for old_rows, new_rows, ncols, tag in calls:
+        rows = list(old_rows) + list(new_rows)
+        want = [tuple(i for i, r in enumerate(rows) if r >> j & 1) for j in range(ncols)]
+        got = assemble(old_rows, new_rows, ncols, tag)
+        assert (got.v, got.blocks, got.name) == (len(rows), tuple(want), tag)
+
+
+def test_search_classes_invariant_under_relabeling(ag34, monkeypatch):
     # the full search on a relabeled AG_2(3,4) at a seeded block finds the
     # same two classes, with the same multiplicities, as at block 0
     rng = random.Random(1)
     relabeled = _relabeled(ag34, rng)
+    assemble = embedding._assemble
+    assembled = _spy(monkeypatch, "_assemble")
     result = embedding_search(relabeled, rng.randrange(relabeled.b))
     classes = {canonical_cert(rep).digest: n for rep, n in result.iso_classes}
     assert classes == {canonical_cert(ag34).digest: 4, E1_DIGEST: 12}
+    _assert_assembled_by_columns(assemble, assembled)
 
 
-def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2):
+def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2, monkeypatch):
     """A seeded relabeling of ag, e1 or e2 keeps the weight-k' count and the completions' digests."""
+    assemble = embedding._assemble
+    assembled = _spy(monkeypatch, "_assemble")
     for seed, design in enumerate((ag34, e1, e2), 1):
         base = sym_embedding_search(design)
         moved = sym_embedding_search(_relabeled(design, random.Random(seed)))
@@ -569,6 +584,7 @@ def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2):
         assert moved.weight_count == base.weight_count
         assert {canonical_cert(d).digest for d in moved.designs} == digests
         assert digests == ({canonical_cert(pg34).digest} if design is ag34 else set())
+    _assert_assembled_by_columns(assemble, assembled)
 
 
 def _reference_hits(ctx):

@@ -602,6 +602,102 @@ def test_search_tree_node_ceilings(request, name, seed, ceiling):
     assert 0 < search.backjumps <= search.leaves <= search.nodes
 
 
+# The labeling search's tree on the bundled designs and two seeded
+# relabelings of each: (nodes, leaves, backjumps), |Aut| and the SHA-256 of
+# repr(generator rows).  The node ceilings above catch weaker pruning; these
+# catch any change to the tree, such as another splitter order, branching
+# order or set of pruning generators, even one that keeps every digest.
+SEARCH_TREES = [
+    ("ag34", None, (75, 14, 12), 23224320, "e2051930f75e31f63362b9cc6df71533e9ef0e31c9b3b36f4c56c0e16f8f0053"),
+    ("ag34", 1, (75, 14, 12), 23224320, "07138471480d1682a06b0613c56a450e731e535e11c74b41b164bc63f7330327"),
+    ("ag34", 2, (69, 13, 11), 23224320, "5a6763d59f339895e30491060af0f7e37e822377f4b4a8c6d44769182ba82c8e"),
+    ("pg34", None, (108, 17, 15), 1974067200, "0264256ef16ab579d796f53ec3639a0c09497a6e3d62652f1c96c00da795243b"),
+    ("pg34", 1, (98, 16, 14), 1974067200, "68fa30eb64e05f70b44a3b9ab602137ee5df65de7b103705ac678bfb6891a21a"),
+    ("pg34", 2, (98, 16, 14), 1974067200, "0b9ca368533815bc930d61583e42fe90adb5e82b5436bb117a3da383935943d2"),
+    ("e1", None, (401, 34, 8), 92160, "9df4bd2f839d684555e2b3ce1bec812ca97b06314caf4a40ef1de20dfe57838c"),
+    ("e1", 1, (412, 42, 9), 92160, "c1465519a87b34dca6729a2f1800f6df760a94c8b497b5e63723ebd9bc3d0c19"),
+    ("e1", 2, (1452, 35, 8), 92160, "41dbbe926e6036ae2fdc15346e0fe60c0bc2a2d734e89e8dfc2f10b222e5fbdf"),
+    ("e2", None, (170, 23, 11), 368640, "79b5f2f7eeb9685e542c0a0666478615b6f66837c0e0ec97c3630f5ccb29c35b"),
+    ("e2", 1, (125, 16, 7), 368640, "2299109c00db3450f5755b6fc856e6debe802a75f424c54fba053d834dc95226"),
+    ("e2", 2, (174, 15, 9), 368640, "c911c722d74c980a0a4efbe55cab73d8f911d15933185db15c5e769177503796"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, seed, tree, order, gens_sha256",
+    SEARCH_TREES,
+    ids=[f"{name}-{'bundled' if seed is None else seed}" for name, seed, *_ in SEARCH_TREES],
+)
+def test_search_tree_pins(request, name, seed, tree, order, gens_sha256):
+    design = request.getfixturevalue(name)
+    if seed is not None:
+        design = _relabel(design, random.Random(seed))
+    adj, cells, _, _ = iso._graph(design)
+    search = iso._Search(adj, cells)
+    assert (search.nodes, search.leaves, search.backjumps) == tree
+    assert search.group_order() == order
+    assert hashlib.sha256(repr(search.gens.tolist()).encode()).hexdigest() == gens_sha256
+
+
+def _loop_schreier_step(rows, x):
+    """Reference for iso._schreier_step: one generator at a time, arrays compared whole."""
+    n = rows.shape[1]
+    identity = np.arange(n)
+    transversal = {x: (identity, identity)}  # y -> (u_y, u_y^-1)
+    queue = [x]
+    found = {}
+    for y in queue:
+        u = transversal[y][0]
+        for s in rows:
+            su = s[u]
+            z = int(su[x])
+            if z not in transversal:
+                inverse = np.empty(n, dtype=np.intp)
+                inverse[su] = identity
+                transversal[z] = (su, inverse)
+                queue.append(z)
+                continue
+            g = transversal[z][1][su]
+            key = g.tobytes()
+            if key not in found and not np.array_equal(g, identity):
+                found[key] = g
+                if len(found) == iso._ORBIT_BLOCK:
+                    return np.array(list(found.values()))
+    return np.array(list(found.values()), dtype=np.intp).reshape(-1, n)
+
+
+def _assert_schreier_step_matches_loop(rows, x):
+    got = iso._schreier_step(rows, x)
+    want = _loop_schreier_step(rows, x)
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    return len(got)
+
+
+def test_schreier_step_matches_loop_on_random_groups():
+    rng = random.Random(209)
+    sizes = []
+    for n in (1, 2, 9, 40, 150):
+        for k in (0, 1, 2, 3, 6):
+            rows = np.array([_partial_shuffle(rng, n) for _ in range(k)], dtype=np.intp)
+            rows = rows.reshape(k, n)
+            for x in {0, n - 1, rng.randrange(n)}:
+                sizes.append(_assert_schreier_step_matches_loop(rows, x))
+    assert 0 in sizes and iso._ORBIT_BLOCK in sizes
+    assert any(0 < size < iso._ORBIT_BLOCK for size in sizes)
+
+
+def test_schreier_step_matches_loop_on_found_generators(ag34, pg34, e1, e2):
+    rng = random.Random(210)
+    for design in (ag34, pg34, e1, e2):
+        group = automorphism_group(design)
+        rows = np.array(group.generators, dtype=np.intp)
+        for x in (0, design.v, group.degree - 1, *rng.sample(range(group.degree), 3)):
+            _assert_schreier_step_matches_loop(rows, x)
+            # a step from a step's generators, as the search takes them down a path
+            below = iso._schreier_step(rows, x)
+            _assert_schreier_step_matches_loop(below, rng.randrange(group.degree))
+
 
 def test_leaf_store_jumps_only_along_mapped_paths(fano):
     # On a real search an equal key always comes with an automorphism that
@@ -618,20 +714,23 @@ def test_leaf_store_jumps_only_along_mapped_paths(fano):
     search._leaves[key] = (order, tuple((x + 1) % len(adj) for x in prefix))
     search._leaf(order, list(prefix), improving=False, dominated=False)
 
+
+def _partial_shuffle(rng, n):
+    """A permutation of range(n) moving only a random subset, so orbits vary in size."""
+    moved = rng.sample(range(n), rng.randrange(0, n + 1))
+    image = moved[:]
+    rng.shuffle(image)
+    g = list(range(n))
+    for a, b in zip(moved, image):
+        g[a] = b
+    return g
+
+
 def test_orbit_labels_are_orbit_minima():
     rng = random.Random(206)
     for n in (1, 2, 9, 40, 150):
         for k in (0, 1, 2, 4, 70):
-            gens = []
-            for _ in range(k):
-                # a permutation moving only a random subset, so orbits vary in size
-                moved = rng.sample(range(n), rng.randrange(0, n + 1))
-                image = moved[:]
-                rng.shuffle(image)
-                g = list(range(n))
-                for a, b in zip(moved, image):
-                    g[a] = b
-                gens.append(g)
+            gens = [_partial_shuffle(rng, n) for _ in range(k)]
             labels = iso._orbit_labels(gens, n)
             for a in range(n):
                 orbit, todo = {a}, [a]
