@@ -418,6 +418,17 @@ def _cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value; 0 is valid."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embedrank",
@@ -453,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--rows", action="store_true")
     which.add_argument("--cols", action="store_true")
     wdist.add_argument("-p", type=int, default=2)
-    wdist.add_argument("--cap", type=int, default=None)
+    wdist.add_argument("--cap", type=_count, default=None)
     wdist.set_defaults(func=_cmd_wdist)
 
     for op in ("residual", "derived"):
@@ -466,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     res = sub.add_parser("resolutions", help="enumerate resolutions")
     res.add_argument("des")
-    res.add_argument("--limit", type=int, default=None)
+    res.add_argument("--limit", type=_count, default=None)
     res.add_argument("--json", action="store_true")
     res.set_defaults(func=_cmd_resolutions)
 

@@ -11,11 +11,14 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import embedrank
+import pinned_outputs
 from embedrank import expected
 from embedrank.cli import run
 from embedrank.designs import (
@@ -246,7 +249,6 @@ def test_wdist_cap_overrides_the_default(tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "CapExceeded"
     assert run(["wdist", str(path), "--rows", "--cap", "16"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["weight,count", "0,1", "7,8", "8,7"]
 
 
 def test_residual_derived_cli(fano_file, k4_file, tmp_path, capsys):
@@ -291,29 +293,6 @@ def test_goodblocks_cli(tmp_path, capsys):
     assert run(["gen", "ag", "2", "3", "1", "-o", str(path)]) == 0
     assert run(["goodblocks", str(path)]) == 0
     assert capsys.readouterr().out.split() == [str(j) for j in range(12)]
-
-
-# stdout pinned by SHA-256 or exact text here and in CI's numpy-only install step
-def test_goodblocks_of_the_searched_designs(tmp_path, capsys):
-    path = tmp_path / "ag34.des"
-    assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
-    assert run(["goodblocks", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 84
-    assert _sha256(out) == "1ac55b0c1f4091d1d8fdf3f5ad072ba4133c95c279a8aa33afe37d271f5fc040"
-    data = Path(embedrank.__file__).parent / "data"
-    for name, blocks in (("e1", "20 21 82 83"), ("e2", "0 73 78 79")):
-        assert run(["goodblocks", str(data / f"{name}.des")]) == 0
-        assert capsys.readouterr().out.splitlines() == blocks.split()
-
-
-def test_wdist_rows_of_ag443(tmp_path, capsys):
-    # a 2^25-word, 6-limb walk over many chunks, pinned by its weight distribution
-    path = tmp_path / "ag443.des"
-    assert run(["gen", "ag", "4", "4", "3", "-o", str(path)]) == 0
-    assert run(["wdist", str(path), "--rows"]) == 0
-    out = capsys.readouterr().out
-    assert _sha256(out) == "83a123ae2f7c9f77aae2eded23d9cac82b57bb482cac954fd74a2d32f8734953"
 
 
 def test_embeddable_cli(fano_file, capsys):
@@ -420,40 +399,78 @@ def test_sym_embed_cli(tmp_path, capsys):
     assert (params.v, params.k, params.lam) == (15, 7, 3)
 
 
-# SHA-256 of each reproduce target's stdout
-REPRODUCE_STDOUT = {
-    "table1": "2cb931fa79913c1db1eabcab33fc65ba4435479a9c4b56ff25921024b9c2c837",
-    "table2": "9f515eba720a04c28fde9bd75c51c5184000cf1ee9531605255a7d3e999750ff",
-    "section5": "758d13c35339c976d61b9f8ec2c1be841eeb52421deb914e92032ab5a0e4f176",
-    "section6": "97ee6cae7fc10408140f72378f112e08dec6f14213a5bf2d5434226e83d3dded",
-}
+def _invoke(argv: list) -> tuple:
+    """`cli.run` in this process: (exit code, stdout, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+PINNED = pinned_outputs.load()
 
 
-# SHA-256 of each completion search's stdout on AG_2(3,4) (`gen ag 3 4 2`)
-SEARCH_STDOUT = {
-    "embed-search": "820851ffd0e4baf6e86694960e5e63e64edd83056d8e4ee27a4661a8bb736ca3",
-    "sym-embed": "17014d7cea92eedc103a0348e58716aa37874d289059e2e0cc12f972c69c88e5",
-}
+@pytest.fixture(scope="module")
+def pinned_paths(tmp_path_factory):
+    data = Path(embedrank.__file__).parent / "data"
+    return pinned_outputs.make_inputs(PINNED, _invoke, tmp_path_factory.mktemp("pinned"), data)
 
 
-def test_reproduce_table1(capsys):
-    assert run(["reproduce", "table1"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("weight,count")
-    assert "64,5" in out.splitlines()
-    assert _sha256(out) == REPRODUCE_STDOUT["table1"]
+@pytest.mark.parametrize("entry", PINNED["entries"], ids=["-".join(e["argv"]) for e in PINNED["entries"]])
+def test_pinned_output(pinned_paths, entry):
+    assert pinned_outputs.check(entry, _invoke, pinned_paths) is None
 
 
-def test_reproduce_section6(capsys):
-    assert run(["reproduce", "section6"]) == 0
-    out = capsys.readouterr().out
-    assert out.rstrip().endswith("ok")
-    assert "isomorphic to PG_2(3,4)" in out
-    assert _sha256(out) == REPRODUCE_STDOUT["section6"]
+def _manifest_file(tmp_path, entries) -> Path:
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"inputs": {}, "bundled": [], "entries": entries}))
+    return path
+
+
+def test_pinned_outputs_runner_reports_each_mismatch_once(tmp_path):
+    entries = [
+        {"argv": ["a"], "exit": 0, "stdout_sha256": hashlib.sha256(b"A\n").hexdigest()},
+        {"argv": ["b", "x.des"], "exit": 0, "stdout_sha256": hashlib.sha256(b"B\n").hexdigest()},
+        {"argv": ["c"], "exit": 0, "stdout": "C\n"},
+        {"argv": ["d"], "exit": 1, "error": "CapExceeded"},
+        {"argv": ["e"], "exit": 1, "error": "CapExceeded"},
+    ]
+    manifest = pinned_outputs.load(_manifest_file(tmp_path, entries))
+    results = {
+        "a": (0, "A\n", ""),
+        "b /in/x.des": (0, "changed\n", ""),  # a changed digest
+        "c": (2, "", "usage: ...\n"),  # a wrong exit code
+        "d": (1, "", '{"error": "BadIndex", "message": "m"}\n'),  # a wrong error class
+        "e": (1, "", '{"error": "CapExceeded", "message": "m"}\n'),
+    }
+    calls = []
+
+    def invoke(argv):
+        calls.append(argv)
+        return results[" ".join(argv)]
+
+    lines = []
+    failures = pinned_outputs.check_all(manifest, invoke, {"x.des": "/in/x.des"}, lines.append)
+    assert len(calls) == len(lines) == 5
+    assert lines[0] == "a: ok" and lines[4] == "e: ok"
+    assert failures == lines[1:4]
+    assert failures[0].startswith("b x.des: stdout sha256 ")
+    assert failures[1] == "c: exit 2, expected 0 (usage: ...)"
+    assert failures[2] == "d: error BadIndex, expected CapExceeded"
+
+
+@pytest.mark.parametrize(
+    "entries, problem",
+    [
+        ([{"argv": ["a"], "exit": 0}], "exactly one"),
+        ([{"argv": ["a"], "exit": 0, "stdout": "", "error": "CapExceeded"}], "exactly one"),
+        ([{"argv": ["a"], "exit": 0, "stdout": ""}, {"argv": ["a"], "exit": 1, "error": "X"}], "twice"),
+    ],
+    ids=["no-expectation", "two-expectations", "repeated-argv"],
+)
+def test_pinned_outputs_load_rejects(tmp_path, entries, problem):
+    with pytest.raises(ValueError, match=problem):
+        pinned_outputs.load(_manifest_file(tmp_path, entries))
 
 
 def _declared_console_script() -> str:
@@ -506,22 +523,12 @@ def test_console_script_installed(tmp_path):
     assert "embedrank" in proc.stdout
 
 
-def test_reproduce_table2(capsys):
-    assert run(["reproduce", "table2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("weight,count")
-    assert "30,1024" in out.splitlines()
-    assert _sha256(out) == REPRODUCE_STDOUT["table2"]
-
-
 def test_embed_search_exports_classes(tmp_path, capsys):
     path = tmp_path / "ag.des"
     assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
     out_dir = tmp_path / "classes"
     assert run(["embed-search", str(path), "0", "--out", str(out_dir)]) == 0
-    out = capsys.readouterr().out
-    assert _sha256(out) == SEARCH_STDOUT["embed-search"]
-    report = json.loads(out)
+    report = json.loads(capsys.readouterr().out)
     assert report["candidates_examined"] == 3876
     assert report["viable_codes"] == 16
     assert sorted(c["multiplicity"] for c in report["iso_classes"]) == [4, 12]
@@ -530,23 +537,6 @@ def test_embed_search_exports_classes(tmp_path, capsys):
     for path2 in exports:
         params = verify_tdesign(parse_des(path2.read_text()), 2)
         assert (params.v, params.k, params.lam) == (64, 16, 5)
-
-
-def test_sym_embed_ag34_stdout(tmp_path, capsys):
-    path = tmp_path / "ag.des"
-    assert run(["gen", "ag", "3", "4", "2", "-o", str(path)]) == 0
-    assert run(["sym-embed", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["target_params"] == [85, 21, 5]
-    assert _sha256(out) == SEARCH_STDOUT["sym-embed"]
-
-
-def test_reproduce_section5(capsys):
-    assert run(["reproduce", "section5"]) == 0
-    out = capsys.readouterr().out
-    assert out.rstrip().endswith("ok")
-    assert "stage 3" in out
-    assert _sha256(out) == REPRODUCE_STDOUT["section5"]
 
 
 # one frozen value per target, changed so that the computed value no longer matches

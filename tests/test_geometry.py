@@ -1,6 +1,5 @@
 """Finite-geometry designs: flats of AG(n, q) and subspaces of PG(n, q)."""
 
-import hashlib
 from itertools import product
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from embedrank.designs import (
     IncidenceStructure,
     Resolution,
-    emit_des,
     is_affine_resolvable,
     make_resolution,
     verify_tdesign,
@@ -130,25 +128,6 @@ def test_pg_matches_reference(n, q, d):
     design, ref = pg_design(n, q, d), _reference_pg_design(n, q, d)
     assert (design.v, design.blocks, design.name) == (ref.v, ref.blocks, ref.name)
     assert all(type(x) is int for blk in design.blocks for x in blk)
-
-
-# SHA-256 of the .des text, as written by the pure-Python builders.  The
-# q = 8 and q = 9 entries pin the field tables, which the reference builders
-# above share with the numpy ones.
-DES_SHA256 = {
-    ("ag", 2, 8, 1): "0961b01227514ac13b7acdb7a132cde30a8e4b89cfbfb6160d7aebd0cb03379c",
-    ("ag", 3, 4, 2): "aa73dab7fd3f52a85c1a1945af9e67d0a83c04d2268cbf6b142c501a7eaea6fb",
-    ("ag", 4, 4, 3): "18b086d5485cb47a601194e8b13a88c5a50532815c11b319af9dc151fe971709",
-    ("pg", 2, 9, 1): "4f6211d4d3301aaf6bda38bd52963757751a7fecfcba3636bcc713897ed7217e",
-    ("pg", 3, 4, 2): "2b92c491371429034c0d0caa90fc01cf912e13b837b01dc7970cd24bc1b0ceb6",
-}
-
-
-@pytest.mark.parametrize("kind,n,q,d", sorted(DES_SHA256))
-def test_des_digest_pinned(kind, n, q, d):
-    design = ag_design(n, q, d)[0] if kind == "ag" else pg_design(n, q, d)
-    digest = hashlib.sha256(emit_des(design).encode()).hexdigest()
-    assert digest == DES_SHA256[kind, n, q, d]
 
 
 def gauss(n: int, k: int, q: int) -> int:
