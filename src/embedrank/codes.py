@@ -441,7 +441,9 @@ def is_bent(truth_table) -> bool:
 
 
 def bent_quadratic(m: int) -> tuple[int, ...]:
-    """The inner-product bent function x1 x2 + x3 x4 + ... on 2m variables."""
+    """The inner-product bent function x1 x2 + x3 x4 + ... on 2m variables; m >= 0."""
+    if m < 0:
+        raise WrongParameters(f"a bent function needs m >= 0 variable pairs, got {m}")
     n = 1 << (2 * m)
     tt = []
     for point in range(n):

@@ -386,12 +386,9 @@ def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceS
     return IncidenceStructure(len(all_rows), blocks, name=tag)
 
 
-# Candidates per chunk of the scan; bounds the (candidates x words / 8) lane
+# Candidates per chunk of the scan; bounds the (candidates x words) uint8
 # sums of `_hit_counts`.
 _SCAN_CHUNK = 1024
-
-# The low seven bits of every byte lane of a uint64.
-_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 
 class _ScanTable(NamedTuple):
@@ -400,29 +397,19 @@ class _ScanTable(NamedTuple):
     words   limb-major uint64 columns: the span words with no parallel
             column whose counts can reach `target`, in the order of the
             Gray walk of the whole span
-    lanes   lanes[c] holds |words[i] & class c| in byte lane i, eight words
-            to a uint64, the width padded to a multiple of 8 with zero counts
-    target  in the same lanes, the sum of the counts of a candidate's
-            non-fixed classes that makes words[i] XOR its row weigh r;
-            padded with 0xFF
+    counts  uint8, counts[c, i] = |words[i] & class c|
+    target  uint8, the sum of the counts of a candidate's non-fixed classes
+            that makes words[i] XOR its row weigh r
     """
 
     words: np.ndarray
-    lanes: np.ndarray
+    counts: np.ndarray
     target: np.ndarray
 
 
 def _popcount(cols: np.ndarray) -> np.ndarray:
     """Hamming weights of limb-major uint64 columns of at most 255 bits, as uint8."""
     return sum(np.bitwise_count(limb) for limb in cols)
-
-
-def _byte_lanes(values: np.ndarray, pad: int) -> np.ndarray:
-    """Rows of values below 256 as uint8 byte lanes, 8 to a uint64, padded with `pad` to a multiple of 8."""
-    width = values.shape[-1]
-    out = np.full(values.shape[:-1] + (-(-width // 8) * 8,), pad, dtype=np.uint8)
-    out[..., :width] = values
-    return out.view(np.uint64)
 
 
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
@@ -466,40 +453,35 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     for shift in (1, 2, 4, 8, 16, 32):
         pos ^= pos >> shift
     ok = ok[np.argsort(pos)]
-    return _ScanTable(words[:, ok], _byte_lanes(counts[:, ok], 0), _byte_lanes(target[ok], 0xFF))
+    return _ScanTable(words[:, ok], counts[:, ok].astype(np.uint8), target[ok].astype(np.uint8))
 
 
 def _hit_counts(table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hits of each candidate whose other classes are the rows of `idx`: their number, and the lane sums.
+    """The hits of each candidate whose other classes are the rows of `idx`: their number, and the sums.
 
-    Adds the candidate's class counts in byte lanes and XORs the target, so
-    word i is a hit exactly when byte i of the candidate's row of sums is
-    zero.  ((x & 0x7F..) + 0x7F..) | x | 0x7F.. sets the low seven bits of
-    every byte and the high bit of exactly the nonzero ones, so a
-    candidate's hits are 64 per uint64 minus the bits set.
+    A candidate's row of uint8 sums starts at 0 - target and adds the
+    counts of its classes, so word i is a hit exactly when entry i is 0
+    (see `_scan`).  The zeros are summed in int32, which numpy reduces
+    faster than the intp of `np.count_nonzero`.
     """
-    sums = np.zeros((len(idx), table.lanes.shape[1]), dtype=np.uint64)
+    sums = np.zeros((len(idx), table.counts.shape[1]), dtype=np.uint8)
+    sums -= table.target
     for col in idx.T:
-        sums += np.take(table.lanes, col, axis=0)
-    sums ^= table.target
-    high = sums & _LOW7
-    high += _LOW7
-    high |= sums
-    high |= _LOW7
-    return 64 * sums.shape[1] - np.bitwise_count(high).sum(axis=1, dtype=np.int64), sums
+        sums += np.take(table.counts, col, axis=0)
+    return (sums == 0).sum(axis=1, dtype=np.int32), sums
 
 
 def _hit_words(
     ctx: _SearchContext, table: _ScanTable, sums: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each hit's candidate and its word s ^ y, from the lane sums of the candidates whose other classes are `rows`.
+    """Each hit's candidate and its word s ^ y, from the sums of the candidates whose other classes are `rows`.
 
     A candidate is a position in `rows`; the words are limb-major columns,
     candidate by candidate, each candidate's in Gray-walk order.
     """
     base = 1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]
     ys = _limbs([base | sum(ctx.class_masks[c] for c in row) for row in rows.tolist()], ctx.ncols)
-    cand, pos = np.nonzero(sums.view(np.uint8)[:, : table.words.shape[1]] == 0)
+    cand, pos = np.nonzero(sums == 0)
     return cand, table.words[:, pos] ^ ys[:, cand]
 
 
@@ -512,12 +494,11 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
     are s ^ y for the residual's span words s.  No span word meets the last
     column and the classes are disjoint, so |s ^ y| = |s| + r - 2 * (sum over
     y's classes c of |s & c|): s ^ y weighs r, a hit, exactly when the counts
-    of y's other classes on s sum to the table's target.  `_hit_counts` adds
-    those counts in byte lanes.  The lanes never carry: the classes are
-    disjoint, so a lane's sum is at most |s| < ncols <= 128 (the search
-    refuses more columns), which also stays below the 0xFF that pads the
-    target, and the bytes read back in the order they were written, whatever
-    the byte order.
+    of y's other classes on s sum to the table's target.  `_hit_counts`
+    subtracts the target from that sum modulo 256, in uint8.  The classes
+    are disjoint, so the sum is at most |s| < ncols <= 128 (the search
+    refuses more columns), and so is the target: the difference is 0
+    modulo 256 exactly at the hits.
 
     A candidate's hits that meet every old row in lambda are its rows for
     `_fill`; it is viable when `_fill` finds a completion among them.  The
@@ -581,10 +562,12 @@ def embedding_search(
     Each candidate new row (see `_scan`) whose weight-r words meeting every
     old row in lambda hold k rows with pairwise intersection lambda and
     every column sum k is viable, and each such choice completes the
-    residual to a design with the parent's parameters.  A viable candidate's
-    completions are deduplicated by canonical form, and all are classified
-    into isomorphism classes across candidates.  Only the `_SEARCH_SIZES`
-    instances are searched.
+    residual to a design with the parent's parameters.  A candidate's
+    weight-r words are found by adding its classes' uint8 counts on each
+    residual span word, with no walk of the candidate's own code.  A viable
+    candidate's completions are deduplicated by canonical form, and all are
+    classified into isomorphism classes across candidates.  Only the
+    `_SEARCH_SIZES` instances are searched.
 
     `resolution` defaults to the one the good block induces.  One passed in
     must be a resolution of the good block's substructure (its blocks in

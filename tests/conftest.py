@@ -9,10 +9,11 @@ from importlib import resources
 
 import pytest
 
+from embedrank.cli import _good_block_in_orbit
 from embedrank.designs import IncidenceStructure, good_block, parse_des, resolutions
 from embedrank.embedding import embedding_search
 from embedrank.geometry import ag_design, pg_design
-from embedrank.iso import automorphism_group, canonical_cert, orbits
+from embedrank.iso import automorphism_group, canonical_cert
 from embedrank import expected
 
 # Fano plane with the standard difference-set labeling.
@@ -102,17 +103,6 @@ def _rep_with_digest(result, digest: str) -> IncidenceStructure:
     raise AssertionError(f"no isomorphism class with digest {digest[:12]}")
 
 
-def _least_good_block_in_orbit(design: IncidenceStructure, orbit_len: int) -> int:
-    group = automorphism_group(design)
-    for orb in sorted(orbits(group, "blocks"), key=min):
-        if len(orb) != orbit_len:
-            continue
-        for j in orb:
-            if good_block(design, j) is not None:
-                return j
-    raise AssertionError(f"no good block in an orbit of length {orbit_len}")
-
-
 @pytest.fixture(scope="session")
 def stage1(ag34):
     return embedding_search(ag34, 0)
@@ -126,7 +116,7 @@ def e1_found(stage1) -> IncidenceStructure:
 @pytest.fixture(scope="session")
 def e1_block(e1_found) -> int:
     """The good block of the found e1 that stage 2 searches over."""
-    return _least_good_block_in_orbit(e1_found, 3)
+    return _good_block_in_orbit(e1_found, 3)
 
 
 @pytest.fixture(scope="session")
@@ -141,5 +131,5 @@ def e2_found(stage2) -> IncidenceStructure:
 
 @pytest.fixture(scope="session")
 def stage3(e2_found):
-    block = _least_good_block_in_orbit(e2_found, 4)
+    block = _good_block_in_orbit(e2_found, 4)
     return embedding_search(e2_found, block)

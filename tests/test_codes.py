@@ -34,6 +34,7 @@ from embedrank.embedding import embedding_search, parallel_union_codewords
 from embedrank.errors import (
     CapExceeded,
     NotACodeword,
+    NotBent,
     TooLarge,
     WrongParameters,
 )
@@ -174,6 +175,11 @@ def test_walsh_and_bent():
     assert not is_bent([0, 1, 0, 1, 0, 1, 0, 1])  # odd variable count
     with pytest.raises(WrongParameters):
         walsh_spectrum([0, 1, 1])
+    # m = 0 is the constant on one point, which is not bent; m < 0 is no function
+    with pytest.raises(NotBent):
+        sdp_code(bent_quadratic(0))
+    with pytest.raises(WrongParameters):
+        bent_quadratic(-1)
 
 
 def test_sdp_design():

@@ -33,7 +33,6 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
-    _byte_lanes,
     _fill,
     _hit_counts,
     _hit_words,
@@ -656,6 +655,21 @@ def _random_context(rng, nclasses, size, npar, need=2):
     )
 
 
+def _wide_context(rng, per_candidate):
+    """A random context of 128 columns, the most the search takes, with one row on every class column.
+
+    Nine classes of 14, one parallel column, and the removed block's column
+    at bit 63 of the second limb.  The full row is a span word of weight 126
+    that the table keeps for per_candidate >= 4, so a candidate's count sum
+    on it reaches 14 * per_candidate.
+    """
+    ctx = _random_context(rng, 9, 14, 1)
+    rows = [(1 << 126) - 1, *ctx.rows]
+    rref, _ = mat_rref(MatGFp.from_bitrows(rows, ctx.ncols))
+    r = 1 + (per_candidate + 1) * 14
+    return ctx._replace(rows=rows, basis=rref.bits, per_candidate=per_candidate, r=r)
+
+
 def test_class_count_hits_on_random_contexts():
     """Random rows give span words of odd weight and unbalanced class counts.
 
@@ -672,49 +686,57 @@ def test_class_count_hits_on_random_contexts():
         assert _table_hits(ctx) == expected
         assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
         total += len(expected)
+    for per_candidate in (4, 7) * 2:
+        ctx = _wide_context(rng, per_candidate)
+        assert ctx.ncols == 128 and len(_limbs(ctx.basis, ctx.ncols)) == 2
+        expected = _reference_hits(ctx)
+        assert _table_hits(ctx) == expected
+        assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
+        total += len(expected)
     assert total > 100
 
 
 def _assert_hit_counts(ctx, table):
-    """`_hit_counts`' counts are the zero bytes of its lane sums on every candidate; returns them.
+    """`_hit_counts` on every candidate, against the exact count sums; returns its counts and their largest sum.
 
-    Pad lanes hold 0 ^ 0xFF and never count.
+    The uint8 sums must be the count sums minus the target, modulo 256, and
+    the counts the number of count sums equal to the target.
     """
     idx = _candidate_rows(ctx)
     counts, sums = _hit_counts(table, idx)
-    width = table.words.shape[1]
-    lanes = sums.view(np.uint8)
-    assert lanes.shape == (len(idx), -(-width // 8) * 8)
-    assert (lanes[:, width:] == 0xFF).all()
-    assert counts.tolist() == np.count_nonzero(lanes[:, :width] == 0, axis=1).tolist()
-    return counts
+    exact = table.counts[idx].sum(axis=1, dtype=np.int16)
+    assert (sums.dtype, sums.shape) == (np.uint8, (len(idx), table.words.shape[1]))
+    assert np.array_equal(sums, (exact - table.target) % 256)
+    assert np.array_equal(counts, np.count_nonzero(exact == table.target, axis=1))
+    return counts, int(exact.max(initial=0))
 
 
 def test_hit_counts_match_the_hit_matrix(ag34, dpp_resolutions):
-    """The bit-trick counts equal the number of zero bytes of the lane sums on every candidate.
+    """The uint8 sums are the exact count sums minus the target, modulo 256; the counts are their zeros.
 
     Covers every resolution of AG_2(3,4)'s block-0 substructure, the good one
-    among them, and the random and planted contexts.  A table whose width is
-    not a multiple of 8 has pad lanes in its last uint64, which must never
-    count; a table with no word has no lanes, and every count is 0.  Which
-    bytes are zero is checked against the reference by the hit tests, which
-    read the hits off the same sums.
+    among them, and the random, planted and wide (128-column) contexts.  A
+    table with no word has no sums, and every count is 0.  Which sums are
+    zero is checked against the reference by the hit tests, which read the
+    hits off the same sums.
     """
     contexts = [_search_context(ag34, 0, res) for res in dpp_resolutions]
     rng = random.Random(29)
     contexts += [_random_context(rng, nclasses, size, npar) for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 4]
     contexts += [_planted_context(rng, size, need, extra)[0] for need in (1, 4) for size, extra in [(3, 0), (5, 50)]]
-    widths, gated = set(), 0
+    contexts += [_wide_context(rng, per_candidate) for per_candidate in (4, 7) * 2]
+    gated, widest = 0, 0
     for ctx in contexts:
-        table = _scan_table(ctx)
-        counts = _assert_hit_counts(ctx, table)
-        widths.add(table.words.shape[1] % 8)
+        counts, top = _assert_hit_counts(ctx, _scan_table(ctx))
         gated += np.count_nonzero(counts >= ctx.need)
+        widest = max(widest, top)
     # counts at the gate are compared too: 16 in each resolution of the good orbit, and planted ones
     assert len(dpp_resolutions) == 32 and gated > 32
-    assert widths - {0}
-    empty = table._replace(words=table.words[:, :0], lanes=table.lanes[:, :0], target=table.target[:0])
-    assert not _assert_hit_counts(ctx, empty).any()
+    # the wide contexts' full row: seven classes of 14
+    assert widest == 98
+    table = _scan_table(ctx)
+    empty = table._replace(words=table.words[:, :0], counts=table.counts[:, :0], target=table.target[:0])
+    assert not _assert_hit_counts(ctx, empty)[0].any()
 
 
 def _dot(a, x):
@@ -888,7 +910,7 @@ def _reference_table(ctx):
     others = np.sort(np.delete(counts, ctx.fixed, axis=0), axis=0)
     top = others[len(others) - ctx.per_candidate :].sum(axis=0, dtype=np.int16)
     ok = (weight % 2 == 0) & (target >= 0) & (target <= top)
-    return words[:, ok], _byte_lanes(counts[:, ok], 0), _byte_lanes(target[ok], 0xFF)
+    return words[:, ok], counts[:, ok].astype(np.uint8), target[ok].astype(np.uint8)
 
 
 def _assert_table_matches(ctx):
@@ -906,7 +928,8 @@ def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_b
     Covers every resolution of AG_2(3,4)'s block-0 substructure, a relabeled
     AG_2(3,4), e1 at the block its search starts from, AG_2(3,2) in one limb,
     the random and planted contexts, random contexts with no parallel column,
-    and random contexts where a basis row has only parallel bits.
+    random contexts where a basis row has only parallel bits, and wide
+    random contexts of 128 columns.
     """
     widths = [_assert_table_matches(_search_context(ag34, 0, res)) for res in dpp_resolutions]
     rng = random.Random(3)
@@ -930,6 +953,7 @@ def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_b
     for need in (1, 4):
         for size, extra in [(3, 0), (5, 50)]:
             widths.append(_assert_table_matches(_planted_context(rng, size, need, extra)[0]))
+    widths += [_assert_table_matches(_wide_context(rng, per_candidate)) for per_candidate in (4, 7) * 2]
     assert min(widths[:32]) == 131 and max(widths[:32]) == 203
     assert sum(widths) > 5000
 
