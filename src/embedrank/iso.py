@@ -30,7 +30,9 @@ the explored one holding the stored leaf, so nothing new remains in it.
 This generalizes nauty's jump on leaves equal to the first leaf to every
 stored leaf.  The canonical certificate is the canonical relabeling
 serialized as text; two structures are isomorphic iff their certificates
-match byte for byte.
+match byte for byte.  Its digest is SHA-256 from CPython's builtin module
+(``_sha2`` or ``_sha256``), with ``hashlib`` only as the fallback, so a run
+maps no OpenSSL.
 
 A node's children are skipped when they lie in the orbit of an explored
 sibling under found automorphisms fixing the node's path (orbits by
@@ -72,7 +74,6 @@ with a reference search that prunes less.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,6 +81,16 @@ import numpy as np
 
 from .designs import IncidenceStructure, Resolution, _cuts
 from .errors import WrongParameters
+
+# hashlib maps OpenSSL's libcrypto, a few MB of resident memory per process;
+# the builtin module gives the same SHA-256 digests without it.
+try:  # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:  # CPython 3.10-3.11
+        from _sha256 import sha256
+    except ImportError:  # builds without builtin hashes
+        from hashlib import sha256
 
 # Generators gathered at once by _orbit_labels (a block is _ORBIT_BLOCK x n),
 # and the Schreier generators kept per step off the first path.
@@ -527,7 +538,7 @@ def _analyze(design: IncidenceStructure) -> tuple[CanonicalCert, PermGroup]:
         body = " ".join(str(x) for x in blk)
         lines.append(body if simple_multiset else f"{m}x {body}")
     payload = ("\n".join(lines) + "\n").encode()
-    cert = CanonicalCert(digest=hashlib.sha256(payload).hexdigest(), payload=payload)
+    cert = CanonicalCert(digest=sha256(payload).hexdigest(), payload=payload)
     group = PermGroup(
         degree=len(adj),
         generators=tuple(map(tuple, search.gens.tolist())),

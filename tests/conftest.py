@@ -130,6 +130,11 @@ def e2_found(stage2) -> IncidenceStructure:
 
 
 @pytest.fixture(scope="session")
-def stage3(e2_found):
-    block = _good_block_in_orbit(e2_found, 4)
-    return embedding_search(e2_found, block)
+def e2_block(e2_found) -> int:
+    """The good block of the found e2 that stage 3 searches over."""
+    return _good_block_in_orbit(e2_found, 4)
+
+
+@pytest.fixture(scope="session")
+def stage3(e2_found, e2_block):
+    return embedding_search(e2_found, e2_block)

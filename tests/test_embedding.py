@@ -33,6 +33,7 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
+    _assemble,
     _fill,
     _hit_counts,
     _hit_words,
@@ -547,6 +548,41 @@ def test_scan_matches_reference_loop(ag34, ag34_gb, dpp_group, dpp_resolutions):
 
 def test_scan_matches_reference_loop_on_found_e1(e1_found, e1_block):
     assert len(_assert_scan_matches(e1_found, e1_block)) == 16
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [("ag34", 0), ("e1_found", "e1_block"), ("e2_found", "e2_block"), ("e1", 83)],
+    ids=["ag34-0", "e1_found", "e2_found", "e1-83"],
+)
+def test_parent_is_among_its_completions(request, name, block):
+    """The parent's own new rows are a viable candidate's solution, and assemble to the parent renumbered.
+
+    An end-to-end check, with no labeling, that the class-count identity, the
+    lambda filter and `_fill` drop nothing.
+    """
+    design = request.getfixturevalue(name)
+    if isinstance(block, str):
+        block = request.getfixturevalue(block)
+    gb = good_block(design, block)
+    ctx = _search_context(design, block, None)
+    _, found = _scan(ctx, _scan_table(ctx))
+    sub_ids = [j for j in range(design.b) if j != block and j not in gb.parallel]
+    removed = design.blocks[block]
+    # A removed point's row: its substructure columns, no parallel column, the last column.
+    own = {
+        sum(1 << c for c, j in enumerate(sub_ids) if x in design.blocks[j]) | 1 << (ctx.ncols - 1): x
+        for x in removed
+    }
+    assert len(own) == len(removed)
+    sols = [sol for _, _, solutions in found for sol in solutions if set(sol) == set(own)]
+    assert sols
+    residual_points = [x for x in range(design.v) if x not in removed]
+    for sol in sols:
+        index = {x: i for i, x in enumerate(residual_points + [own[row] for row in sol])}
+        want = [tuple(sorted(index[x] for x in design.blocks[j])) for j in sub_ids + [*gb.parallel, block]]
+        got = _assemble(ctx.rows, sol, ctx.ncols, "parent")
+        assert (got.v, got.blocks) == (design.v, tuple(want))
 
 
 def _assert_assembled_by_columns(assemble, calls):

@@ -59,9 +59,20 @@ def test_cert_invariant_under_relabeling(fano):
         assert canonical_cert(_relabel(d, rng)) == canonical_cert(d)
 
 
+# Repeated blocks: the payload's lines carry a "2x" multiplicity.
+DOUBLED = IncidenceStructure(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("name", ["fano", "ag34", "pg34", "e1", "e2", "doubled"])
+def test_digest_is_sha256_of_payload(request, name):
+    """The digest is hashlib's SHA-256 of the payload; ag to e2 span many 64-byte blocks."""
+    design = DOUBLED if name == "doubled" else request.getfixturevalue(name)
+    cert = canonical_cert(design)
+    assert cert.digest == hashlib.sha256(cert.payload).hexdigest()
+
+
 def test_cert_fields(fano):
     cert = canonical_cert(fano)
-    assert cert.digest == hashlib.sha256(cert.payload).hexdigest()
     lines = cert.payload.decode().splitlines()
     assert lines[0] == "7 7"
     parsed = IncidenceStructure(7, [tuple(map(int, ln.split())) for ln in lines[1:]])
@@ -152,15 +163,14 @@ def test_orbit_partitions(fano):
 
 
 def test_multiset_blocks():
-    doubled = IncidenceStructure(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
     single = IncidenceStructure(4, [(0, 1), (2, 3)])
-    group = automorphism_group(doubled)
+    group = automorphism_group(DOUBLED)
     assert group.deduplicated
     assert group.order() == automorphism_group(single).order() == 8
-    assert not are_isomorphic(doubled, single)
+    assert not are_isomorphic(DOUBLED, single)
     other = IncidenceStructure(4, [(2, 3), (0, 1), (2, 3), (0, 1)])
-    assert are_isomorphic(doubled, other)
-    assert b"2x" in canonical_cert(doubled).payload
+    assert are_isomorphic(DOUBLED, other)
+    assert b"2x" in canonical_cert(DOUBLED).payload
 
 
 def test_resolution_orbits_planes(k4_edges):
