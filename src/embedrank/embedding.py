@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -297,15 +298,16 @@ def _search_context(
     per_candidate = (params.r - 1) // res.class_size - 1
     if 1 + (per_candidate + 1) * res.class_size != params.r:
         raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
-    par_blocks = [set(design.blocks[j]) for j in gb.parallel]
+    # Each point's parallel-column bits.
+    par_bits = [0] * design.v
+    for m, j in enumerate(gb.parallel):
+        for x in design.blocks[j]:
+            par_bits[x] |= 1 << (dpp.b + m)
     # Substructure point i is the i-th point off the removed block.
     removed = set(design.blocks[block_idx])
     off = [x for x in range(design.v) if x not in removed]
-    rows = [
-        mask | sum(1 << (dpp.b + m) for m, blk in enumerate(par_blocks) if x in blk)
-        for mask, x in zip(dpp.point_masks(), off, strict=True)
-    ]
-    room = _room(params.k, dpp.block_sizes() + [len(blk) for blk in par_blocks])
+    rows = [mask | par_bits[x] for mask, x in zip(dpp.point_masks(), off, strict=True)]
+    room = _room(params.k, dpp.block_sizes() + [len(design.blocks[j]) for j in gb.parallel])
     if sum(room) != params.k * params.r:
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
     rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
@@ -424,10 +426,15 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     A tag takes one 64-bit limb, so the basis may have at most 64 rows (the
     searched sizes have 15); more raise OverflowError.
 
-    A word can weigh r when its target lies between 0 and the largest sum of
-    `per_candidate` non-fixed class counts.  For counts 0 <= a_c <= m, that
+    A word can weigh r when its weight is even and its target lies between 0
+    and the largest sum of `per_candidate` non-fixed class counts.  Only a
+    word's weight and fixed-class count are taken first, and the words with
+    odd weight, a negative target or a target above `per_candidate` times m,
+    the largest class's column count, are dropped; the survivors then have
+    every class counted in one call.  For counts 0 <= a_c <= m the largest
     sum is the sum over v = 1..m of min(#{c : a_c >= v}, per_candidate),
-    with m the largest class's column count.
+    at most per_candidate * m, so the first filter drops no word the second
+    keeps.
     """
     n, k = ctx.ncols, len(ctx.basis)
     par = sum(1 << j for j, c in enumerate(ctx.room) if c == 0)
@@ -440,15 +447,16 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     cols = _limbs([f >> k for f in free], n)
     span = _span_table(np.vstack((cols, _limbs([f & ((1 << k) - 1) for f in free], 64))))
     words, pos = span[: len(cols)], span[len(cols)]
-    counts = np.empty((len(ctx.class_masks), words.shape[1]), dtype=np.int16)
-    for c, mask in enumerate(_limbs(ctx.class_masks, ctx.ncols).T):
-        counts[c] = _popcount(words & mask[:, None])
-    weight = _popcount(words)
-    target = weight // 2 - counts[ctx.fixed]
-    others = np.delete(counts, ctx.fixed, axis=0)
+    class_limbs = _limbs(ctx.class_masks, n).T
     largest = max((m.bit_count() for m in ctx.class_masks), default=0)
+    weight = _popcount(words)
+    target = (weight // 2).astype(np.int16) - _popcount(words & class_limbs[ctx.fixed, :, None])
+    ok = np.flatnonzero((weight % 2 == 0) & (target >= 0) & (target <= ctx.per_candidate * largest))
+    words, target, pos = words[:, ok], target[ok], pos[ok]
+    counts = np.bitwise_count(words[None] & class_limbs[:, :, None]).sum(axis=1, dtype=np.int16)
+    others = np.delete(counts, ctx.fixed, axis=0)
     top = sum(np.minimum(np.count_nonzero(others >= v, axis=0), ctx.per_candidate) for v in range(1, largest + 1))
-    ok = np.flatnonzero((weight % 2 == 0) & (target >= 0) & (target <= top))
+    ok = np.flatnonzero(target <= top)
     pos = pos[ok]
     for shift in (1, 2, 4, 8, 16, 32):
         pos ^= pos >> shift
@@ -485,6 +493,44 @@ def _hit_words(
     return cand, table.words[:, pos] ^ ys[:, cand]
 
 
+def _combination_rows(items: list[int], k: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """The number of k-subsets of `items`, and `window(first, n)`: those of ranks first .. first + n - 1.
+
+    Ranks follow `itertools.combinations(items, k)`, and a window is an
+    (n, k) int8 array, one subset per row.  A subset is a left row, its
+    first k // 2 items, then a right row, the others.  Both are rows of a
+    table of all subsets of their size, built once in the same order.  The
+    subsets with one left row, whose last item is at position x, are
+    consecutive, and their right rows are the subsets of the items past x:
+    the last C(m - 1 - x, k - k // 2) rows of the right table, in order.  So
+    a rank's left row is the first whose cumulative block size exceeds it,
+    and its right row lies as far before the right table's end as the rank
+    lies before that block's end.
+    """
+    m, a = len(items), k // 2
+
+    def subsets(size: int) -> np.ndarray:
+        n = comb(m, size)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+        return np.fromiter(flat, dtype=np.int8, count=n * size).reshape(n, size)
+
+    left, right = subsets(a), subsets(k - a)
+    last = left[:, -1].astype(np.intp) if a else np.full(len(left), -1)
+    tail = np.array([comb(m - 1 - x, k - a) for x in range(-1, m)], dtype=np.int64)
+    sizes = tail[last + 1]
+    ends = np.cumsum(sizes)
+    shift = len(right) - ends
+    values = np.array(items, dtype=np.int8)
+    left, right = values[left], values[right]
+
+    def window(first: int, n: int) -> np.ndarray:
+        ranks = np.arange(first, first + n)
+        i = np.searchsorted(ends, ranks, side="right")
+        return np.concatenate((left[i], right[ranks + shift[i]]), axis=1)
+
+    return int(sizes.sum()), window
+
+
 def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
     """The number of candidates, and the viable ones as (index, classes, solutions).
 
@@ -500,24 +546,26 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
     refuses more columns), and so is the target: the difference is 0
     modulo 256 exactly at the hits.
 
-    A candidate's hits that meet every old row in lambda are its rows for
+    Candidates come in `_SCAN_CHUNK` windows of `_combination_rows`, in the
+    order of `itertools.combinations` over the non-fixed classes.  A
+    candidate's hits that meet every old row in lambda are its rows for
     `_fill`; it is viable when `_fill` finds a completion among them.  The
     lambda test only removes hits, so a candidate with fewer than `need` hits
-    cannot be viable: only the others have their hit words built and tested.
+    cannot be viable: only the others have their hit words built and tested,
+    and the old rows are put in limbs only when some candidate is.
     """
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
-    combos = itertools.combinations(rest, ctx.per_candidate)
-    total = comb(len(rest), ctx.per_candidate)
-    row_cols = _limbs(ctx.rows, ctx.ncols)
+    total, window = _combination_rows(rest, ctx.per_candidate)
+    row_cols = None
     found = []
     for first in range(0, total, _SCAN_CHUNK):
-        n = min(_SCAN_CHUNK, total - first)
-        flat = itertools.chain.from_iterable(itertools.islice(combos, n))
-        idx = np.fromiter(flat, dtype=np.int8, count=n * ctx.per_candidate).reshape(n, ctx.per_candidate)
+        idx = window(first, min(_SCAN_CHUNK, total - first))
         counts, sums = _hit_counts(table, idx)
         counted = np.flatnonzero(counts >= ctx.need)
         if not len(counted):
             continue
+        if row_cols is None:
+            row_cols = _limbs(ctx.rows, ctx.ncols)
         rows = idx[counted]
         cand, hits = _hit_words(ctx, table, sums[counted], rows)
         ok = np.ones(len(cand), dtype=bool)

@@ -33,7 +33,9 @@ from embedrank.designs import (
     verify_tdesign,
 )
 from embedrank.embedding import (
+    _SCAN_CHUNK,
     _assemble,
+    _combination_rows,
     _fill,
     _hit_counts,
     _hit_words,
@@ -900,9 +902,10 @@ def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_res
         with monkeypatch.context() as m:
             built = _spy(m, "_hit_words")
             popcounts = _spy(m, "_popcount")
+            limbs = _spy(m, "_limbs")
             filled = _spy(m, "_fill")
             assert _scan(ctx, table) == (3876, [])
-        assert (built, popcounts, filled) == ([], [], [])
+        assert (built, popcounts, limbs, filled) == ([], [], [], [])
     # on the good resolution, hit words are built for exactly the 16 viable candidates
     ctx = _search_context(ag34, 0, None)
     with monkeypatch.context() as m:
@@ -911,6 +914,82 @@ def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_res
         _, found = _scan(ctx, _scan_table(ctx))
     assert len(found) == len(filled) == 16
     assert [(ctx.fixed, *row) for *_, idx in built for row in idx.tolist()] == [c for _, c, _ in found]
+
+
+def _skip_one(m):
+    """m class indices with a gap, as the scan's non-fixed classes have one at the fixed class."""
+    return [c for c in range(m + 1) if c != m // 2]
+
+
+def _assert_window(window, first, want):
+    got = window(first, len(want))
+    assert (got.dtype, got.shape) == (np.int8, (len(want), len(want[0])))
+    assert got.tolist() == [list(row) for row in want]
+
+
+@pytest.mark.parametrize("m, k", [(19, 4), (10, 3), (8, 1), (7, 0), (6, 6), (4, 5), (12, 12)])
+def test_combination_rows_are_the_combinations(m, k):
+    """`_combination_rows` gives `itertools.combinations` by rank: values, order and int8, window by window.
+
+    Every `_SCAN_CHUNK` window is checked, the last partial one included, and
+    every one-rank window.  Where there are more than `_SCAN_CHUNK`
+    candidates, some window holds subsets of more than one left row.
+    """
+    items = _skip_one(m)
+    want = list(itertools.combinations(items, k))
+    total, window = _combination_rows(items, k)
+    assert total == len(want) == comb(m, k)
+    for first in range(0, total, _SCAN_CHUNK):
+        rows = want[first : first + _SCAN_CHUNK]
+        _assert_window(window, first, rows)
+        if total > _SCAN_CHUNK:
+            assert len({row[: k // 2] for row in rows}) > 1
+    for first, row in enumerate(want):
+        _assert_window(window, first, [row])
+    # the reference of the C(29,14) test
+    assert [tuple(items[x] for x in _unrank(items, k, rank)) for rank in range(total)] == want
+
+
+def _unrank(items, k, rank):
+    """The subset of lexicographic rank `rank` among the k-subsets of `items`, counted off one item at a time."""
+    out, x = [], 0
+    for left in range(k, 0, -1):
+        while comb(len(items) - 1 - x, left - 1) <= rank:
+            rank -= comb(len(items) - 1 - x, left - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return out
+
+
+def _successors(items, pos, n):
+    """n k-subsets of `items` in lexicographic order from positions `pos` on, by the successor rule."""
+    m, k, pos, out = len(items), len(pos), list(pos), []
+    for _ in range(n):
+        out.append(tuple(items[x] for x in pos))
+        i = k - 1
+        while i >= 0 and pos[i] == m - k + i:
+            i -= 1
+        if i < 0:
+            break
+        pos[i : k] = range(pos[i] + 1, pos[i] + 1 + k - i)
+    return out
+
+
+def test_combination_rows_at_the_planes_of_ag45():
+    """At C(29,14), the first, a middle and the last window, against an unranked reference; no full enumeration."""
+    items = _skip_one(29)
+    total, window = _combination_rows(items, 14)
+    assert total == comb(29, 14) == 77558760
+    first = list(itertools.islice(itertools.combinations(items, 14), _SCAN_CHUNK))
+    assert _successors(items, _unrank(items, 14, 0), _SCAN_CHUNK) == first
+    last = total - total % _SCAN_CHUNK
+    for start in (0, (total // 2 // _SCAN_CHUNK) * _SCAN_CHUNK, last):
+        n = min(_SCAN_CHUNK, total - start)
+        want = _successors(items, _unrank(items, 14, start), n)
+        assert len(want) == n
+        _assert_window(window, start, want)
+    assert tuple(window(total - 1, 1)[0]) == tuple(items[15:])
 
 
 def test_scan_one_limb_on_planes(monkeypatch):
