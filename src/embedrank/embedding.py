@@ -329,13 +329,15 @@ def _room(k: int, sizes: list[int]) -> list[int]:
     return [k - size for size in sizes] + [k]
 
 
-def _fill(cands: list[int], need: int, lam: int, room: list[int]) -> list[tuple[int, ...]]:
-    """Every `need`-subset of `cands` meeting pairwise in `lam` that fills `room`.
+def _fill(words: list[int], old_rows: list[int], need: int, lam: int, room: list[int]) -> list[tuple[int, ...]]:
+    """Every `need`-subset of `words` that fills `room`, its rows meeting every row, old and new, in `lam`.
 
-    A chosen row takes one unit of room in each column of its support; a
+    The words meeting some old row in another number are dropped first.  A
+    chosen row takes one unit of room in each column of its support; a
     choice is kept when it uses up every column's room exactly.  Choices come
-    out in candidate order.
+    out in word order.
     """
+    cands = [w for w in words if all((w & r).bit_count() == lam for r in old_rows)]
     room = list(room)
     chosen: list[int] = []
     out: list[tuple[int, ...]] = []
@@ -479,20 +481,6 @@ def _hit_counts(table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (sums == 0).sum(axis=1, dtype=np.int32), sums
 
 
-def _hit_words(
-    ctx: _SearchContext, table: _ScanTable, sums: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each hit's candidate and its word s ^ y, from the sums of the candidates whose other classes are `rows`.
-
-    A candidate is a position in `rows`; the words are limb-major columns,
-    candidate by candidate, each candidate's in Gray-walk order.
-    """
-    base = 1 << (ctx.ncols - 1) | ctx.class_masks[ctx.fixed]
-    ys = _limbs([base | sum(ctx.class_masks[c] for c in row) for row in rows.tolist()], ctx.ncols)
-    cand, pos = np.nonzero(sums == 0)
-    return cand, table.words[:, pos] ^ ys[:, cand]
-
-
 def _combination_rows(items: list[int], k: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
     """The number of k-subsets of `items`, and `window(first, n)`: those of ranks first .. first + n - 1.
 
@@ -548,36 +536,25 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
 
     Candidates come in `_SCAN_CHUNK` windows of `_combination_rows`, in the
     order of `itertools.combinations` over the non-fixed classes.  A
-    candidate's hits that meet every old row in lambda are its rows for
-    `_fill`; it is viable when `_fill` finds a completion among them.  The
-    lambda test only removes hits, so a candidate with fewer than `need` hits
-    cannot be viable: only the others have their hit words built and tested,
-    and the old rows are put in limbs only when some candidate is.
+    candidate's hits, as Python ints in table order, are its words for
+    `_fill`, which keeps those meeting every old row in lambda; it is viable
+    when `_fill` finds a completion among them.  The lambda test only
+    removes hits, so a candidate with fewer than `need` hits cannot be
+    viable: only the others have their hits built.
     """
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
     total, window = _combination_rows(rest, ctx.per_candidate)
-    row_cols = None
     found = []
     for first in range(0, total, _SCAN_CHUNK):
         idx = window(first, min(_SCAN_CHUNK, total - first))
         counts, sums = _hit_counts(table, idx)
-        counted = np.flatnonzero(counts >= ctx.need)
-        if not len(counted):
-            continue
-        if row_cols is None:
-            row_cols = _limbs(ctx.rows, ctx.ncols)
-        rows = idx[counted]
-        cand, hits = _hit_words(ctx, table, sums[counted], rows)
-        ok = np.ones(len(cand), dtype=bool)
-        for row in row_cols.T:
-            ok &= _popcount(hits & row[:, None]) == ctx.lam
-        cand, hits = cand[ok], hits[:, ok]
-        bounds = np.searchsorted(cand, np.arange(len(rows) + 1))
-        for i in np.flatnonzero(np.diff(bounds) >= ctx.need):
-            cands = _words(hits[:, bounds[i] : bounds[i + 1]])
-            solutions = _fill(cands, ctx.need, ctx.lam, ctx.room)
+        for i in np.flatnonzero(counts >= ctx.need):
+            classes = (ctx.fixed, *map(int, idx[i]))
+            y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in classes)
+            hits = [s ^ y for s in _words(table.words[:, sums[i] == 0])]
+            solutions = _fill(hits, ctx.rows, ctx.need, ctx.lam, ctx.room)
             if solutions:
-                found.append((first + int(counted[i]), (ctx.fixed, *map(int, rows[i])), solutions))
+                found.append((first + int(i), classes, solutions))
     return total, found
 
 
@@ -699,12 +676,8 @@ def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
     weight_count = len(words)
     b = design.b
     old_rows = design.point_masks()
-    cands = [
-        w
-        for w in words
-        if w >> b & 1 and all((w & r).bit_count() == lamp for r in old_rows)
-    ]
-    solutions = _fill(cands, vp - design.v, lamp, _room(kp, design.block_sizes()))
+    cands = [w for w in words if w >> b & 1]
+    solutions = _fill(cands, old_rows, vp - design.v, lamp, _room(kp, design.block_sizes()))
 
     def check(d: IncidenceStructure) -> bool:
         sp = verify_tdesign(d, 2)

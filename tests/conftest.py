@@ -81,6 +81,18 @@ def dpp_resolutions(dpp):
     return resolutions(dpp)
 
 
+def relabel(design: IncidenceStructure, rng, name=None) -> IncidenceStructure:
+    """The design with its points renumbered, then its blocks reordered, by `rng`.
+
+    The tests' seeded digests and search trees depend on this order of `rng` calls.
+    """
+    perm = list(range(design.v))
+    rng.shuffle(perm)
+    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
+    rng.shuffle(blocks)
+    return IncidenceStructure(design.v, blocks, name=name)
+
+
 def _bundled(name: str) -> IncidenceStructure:
     text = resources.files("embedrank.data").joinpath(name).read_text()
     return parse_des(text)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import relabel
 from embedrank.designs import (
     GoodBlock,
     IncidenceStructure,
@@ -256,22 +257,12 @@ def _good_block_fields(gb):
     return fields
 
 
-def _relabeled(design, seed, name):
-    rng = random.Random(seed)
-    perm = list(range(design.v))
-    rng.shuffle(perm)
-    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
-    rng.shuffle(blocks)
-    return IncidenceStructure(design.v, blocks, name=name)
-
-
 def test_good_block_matches_restriction_reference(ag34, e1, e2):
     sizes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
     family = [ag_design(n, q, n - 1)[0] for n, q in sizes] + [e1, e2]
-    family += [
-        _relabeled(ag34, seed, name) for seed, name in ((1, None), (2, "shuffled"), (3, None), (4, "labeled"))
-    ]
-    family += [_relabeled(e1, 5, None), _relabeled(e2, 6, "e2 shuffled")]
+    labelings = ((1, None), (2, "shuffled"), (3, None), (4, "labeled"))
+    family += [relabel(ag34, random.Random(seed), name) for seed, name in labelings]
+    family += [relabel(e1, random.Random(5)), relabel(e2, random.Random(6), "e2 shuffled")]
     blocks = goods = 0
     for design in family:
         for j in range(design.b):

@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from conftest import relabel
 from embedrank import codes as codes_module
 from embedrank import designs, embedding
 from embedrank.codes import (
@@ -38,7 +39,6 @@ from embedrank.embedding import (
     _combination_rows,
     _fill,
     _hit_counts,
-    _hit_words,
     _popcount,
     _room,
     _scan,
@@ -307,8 +307,12 @@ def test_embedding_search_guards(e1):
         embedding_search(e1, 0)
 
 
-def _fill_oracle(cands, need, lam, room):
-    """Every need-subset, in combinations order, meeting pairwise in lam and filling room."""
+def _fill_oracle(cands, old_rows, need, lam, room):
+    """Every need-subset, in combinations order, meeting pairwise in lam and filling room.
+
+    The words meeting some old row in another number than lam are dropped first.
+    """
+    cands = [w for w in cands if all((w & r).bit_count() == lam for r in old_rows)]
     out = []
     for combo in itertools.combinations(cands, need):
         if any((a & b).bit_count() != lam for a, b in itertools.combinations(combo, 2)):
@@ -318,21 +322,33 @@ def _fill_oracle(cands, need, lam, room):
     return out
 
 
+def _old_rows(rng, planted, lam, ncols, misses):
+    """Up to two random rows meeting every planted row in lam, then `misses` random rows that do not."""
+    fits = {x for x in range(1 << ncols) if all((x & w).bit_count() == lam for w in planted)}
+    others = [x for x in range(1 << ncols) if x not in fits]
+    return rng.sample(sorted(fits), min(2, len(fits))) + rng.sample(others, misses)
+
+
 def test_fill_matches_brute_force_on_planes():
+    """The planes' points meet the symmetric completion's rows in lambda; one more old row that does not leaves none."""
     planes, _ = ag_design(3, 2, 2)
     vp, kp, lamp = quasi_residual_params(8, 4, 3)
     cands = codewords_of_weight(sym_embedding_code(planes), kp)
     need = vp - planes.v
     room = _room(kp, planes.block_sizes())
     assert (len(cands), need) == (15, 7)
-    found = _fill(cands, need, lamp, room)
-    assert found == _fill_oracle(cands, need, lamp, room)
-    assert found
+    (planted,) = _fill_oracle(cands, [], need, lamp, room)
+    rng = random.Random(3)
+    for misses in (0, 1, 0, 1):
+        old_rows = planes.point_masks() + _old_rows(rng, planted, lamp, planes.b + 1, misses)
+        found = _fill(cands, old_rows, need, lamp, room)
+        assert found == _fill_oracle(cands, old_rows, need, lamp, room)
+        assert found == ([] if misses else [planted])
 
 
 def test_fill_matches_brute_force_on_random_instances():
     rng = random.Random(7)
-    solved = 0
+    solved = pruned = 0
     for _ in range(80):
         ncols = rng.randrange(4, 9)
         # rows of mixed weights, so a choice can stay inside the room without filling it
@@ -345,10 +361,13 @@ def test_fill_matches_brute_force_on_random_instances():
         planted = rng.sample(cands, need)
         lam = (planted[0] & planted[-1]).bit_count()
         room = [sum(w >> j & 1 for w in planted) for j in range(ncols)]
-        found = _fill(cands, need, lam, room)
-        assert found == _fill_oracle(cands, need, lam, room)
+        old_rows = _old_rows(rng, planted, lam, ncols, rng.randrange(2))
+        found = _fill(cands, old_rows, need, lam, room)
+        assert found == _fill_oracle(cands, old_rows, need, lam, room)
         solved += bool(found)
-    assert solved >= 10
+        pruned += found != _fill_oracle(cands, [], need, lam, room)
+    # the old rows decide some instances, so a fill that ignores them fails
+    assert solved >= 10 and pruned >= 10
 
 
 def _clear_fact_caches():
@@ -433,7 +452,7 @@ def _bit_count_room(rows, ncols, k):
 
 def test_search_rows_are_the_residual_rows(ag34, e1, e2):
     """The search's rows are the keep_empty residual's: substructure blocks, parallel blocks, a zero column."""
-    cases = [(ag34, 0), (ag34, 17), (_relabeled(ag34, random.Random(13)), 5)]
+    cases = [(ag34, 0), (ag34, 17), (relabel(ag34, random.Random(13)), 5)]
     cases += [(d, j) for d in (e1, e2) for j in range(d.b) if good_block(d, j) is not None]
     assert len(cases) == 11
     for design, block in cases:
@@ -451,7 +470,7 @@ def test_room_is_k_minus_column_sums(monkeypatch, ag34, e1_found, e1_block, e1, 
     fills = _spy(monkeypatch, "_fill")
     for design in (ag34, e1, e2):
         kp = sym_embedding_search(design).target_params[1]
-        assert fills[-1][3] == _bit_count_room(design.point_masks(), design.b + 1, kp)
+        assert fills[-1][4] == _bit_count_room(design.point_masks(), design.b + 1, kp)
     assert len(fills) == 3
 
 
@@ -482,7 +501,8 @@ def _reference_scan(args):
                 cands.append(w)
         if len(cands) < need:
             continue
-        solutions = _fill(cands, need, lam, room)
+        # the words already meet every old row in lambda
+        solutions = _fill(cands, [], need, lam, room)
         if solutions:
             found.append((idx, (fixed, *combo), solutions))
     return found
@@ -514,15 +534,6 @@ def _assert_scan_matches(design, block, resolution=None):
     return found
 
 
-def _relabeled(design, rng):
-    """The design with its points renumbered and its blocks reordered by `rng`."""
-    perm = list(range(design.v))
-    rng.shuffle(perm)
-    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
-    rng.shuffle(blocks)
-    return IncidenceStructure(design.v, blocks)
-
-
 def _non_good_orbits(gb, group, res_list):
     """The Aut(D'')-orbits of resolutions that miss the good block's resolution, as lists."""
     good = gb.resolution.as_sets()
@@ -544,7 +555,7 @@ def test_scan_matches_reference_loop(ag34, ag34_gb, dpp_group, dpp_resolutions):
         assert _assert_scan_matches(ag34, 0, res) == []
     # a relabeled AG_2(3,4) at a seeded block; every block of it is good
     rng = random.Random(11)
-    relabeled = _relabeled(ag34, rng)
+    relabeled = relabel(ag34, rng)
     assert len(_assert_scan_matches(relabeled, rng.randrange(relabeled.b))) == 16
 
 
@@ -601,7 +612,7 @@ def test_search_classes_invariant_under_relabeling(ag34, monkeypatch):
     # the full search on a relabeled AG_2(3,4) at a seeded block finds the
     # same two classes, with the same multiplicities, as at block 0
     rng = random.Random(1)
-    relabeled = _relabeled(ag34, rng)
+    relabeled = relabel(ag34, rng)
     assemble = embedding._assemble
     assembled = _spy(monkeypatch, "_assemble")
     result = embedding_search(relabeled, rng.randrange(relabeled.b))
@@ -616,7 +627,7 @@ def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2, monkeypatch):
     assembled = _spy(monkeypatch, "_assemble")
     for seed, design in enumerate((ag34, e1, e2), 1):
         base = sym_embedding_search(design)
-        moved = sym_embedding_search(_relabeled(design, random.Random(seed)))
+        moved = sym_embedding_search(relabel(design, random.Random(seed)))
         digests = {canonical_cert(d).digest for d in base.designs}
         assert moved.weight_count == base.weight_count
         assert {canonical_cert(d).digest for d in moved.designs} == digests
@@ -663,12 +674,15 @@ def _candidate_rows(ctx):
 
 
 def _table_hits(ctx):
-    """(candidate, word) for every hit of every candidate, read off the lane sums without the count gate."""
+    """(candidate, word) for every hit of every candidate, read off the uint8 sums as s ^ y, without the count gate."""
     idx = _candidate_rows(ctx)
     table = _scan_table(ctx)
     _, sums = _hit_counts(table, idx)
-    cand, words = _hit_words(ctx, table, sums, idx)
-    return list(zip(cand.tolist(), _words(words)))
+    out = []
+    for i, row in enumerate(idx.tolist()):
+        y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in (ctx.fixed, *row))
+        out += [(i, s ^ y) for s in _words(table.words[:, sums[i] == 0])]
+    return out
 
 
 def _random_context(rng, nclasses, size, npar, need=2):
@@ -865,8 +879,13 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _gated_fills(ctx, hits, gated):
+    """The `_fill` calls the scan should make: each gated candidate's reference hits, with the context's old rows."""
+    return [([w for j, w in hits if j == i], ctx.rows, ctx.need, ctx.lam, ctx.room) for i in gated]
+
+
 def test_count_gate_is_exact_at_its_boundary(monkeypatch):
-    """The scan expands exactly the candidates with at least `need` weight-r words.
+    """The scan calls `_fill` once per candidate with at least `need` weight-r words, on exactly those words.
 
     The lambda test only removes words, so no candidate below the gate can be
     viable; one at the gate must still be expanded.
@@ -876,15 +895,15 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
         at_gate = below_gate = 0
         for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 8:
             ctx = _random_context(rng, nclasses, size, npar, need)
-            combos = _combos(ctx)
-            counts = [0] * len(combos)
-            for i, _ in _reference_hits(ctx):
+            hits = _reference_hits(ctx)
+            counts = [0] * len(_combos(ctx))
+            for i, _ in hits:
                 counts[i] += 1
             with monkeypatch.context() as m:
-                expanded = _spy(m, "_hit_words")
-                assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
-            rows = [tuple(row) for *_, idx in expanded for row in idx.tolist()]
-            assert rows == [combos[i] for i, c in enumerate(counts) if c >= need]
+                filled = _spy(m, "_fill")
+                found = _scan_all(ctx)
+            assert found == _reference_scan(_reference_args(ctx))
+            assert filled == _gated_fills(ctx, hits, [i for i, c in enumerate(counts) if c >= need])
             at_gate += counts.count(need)
             below_gate += counts.count(need - 1)
         assert at_gate
@@ -893,27 +912,24 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
 
 
 def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
-    """No candidate of a non-good resolution has `need` hits: no hit word is built or lambda-tested."""
+    """No candidate of a non-good resolution has `need` hits: no hit is built and `_fill` never runs."""
     others = [res for orb in _non_good_orbits(ag34_gb, dpp_group, dpp_resolutions) for res in orb]
     assert len(others) == 30
     for res in others:
         ctx = _search_context(ag34, 0, res)
         table = _scan_table(ctx)
         with monkeypatch.context() as m:
-            built = _spy(m, "_hit_words")
-            popcounts = _spy(m, "_popcount")
-            limbs = _spy(m, "_limbs")
+            built = _spy(m, "_words")
             filled = _spy(m, "_fill")
             assert _scan(ctx, table) == (3876, [])
-        assert (built, popcounts, limbs, filled) == ([], [], [], [])
-    # on the good resolution, hit words are built for exactly the 16 viable candidates
+        assert (built, filled) == ([], [])
+    # on the good resolution, `_fill` runs on the hits of exactly the 16 viable candidates
     ctx = _search_context(ag34, 0, None)
     with monkeypatch.context() as m:
-        built = _spy(m, "_hit_words")
         filled = _spy(m, "_fill")
         _, found = _scan(ctx, _scan_table(ctx))
-    assert len(found) == len(filled) == 16
-    assert [(ctx.fixed, *row) for *_, idx in built for row in idx.tolist()] == [c for _, c, _ in found]
+    assert len(found) == 16
+    assert filled == _gated_fills(ctx, _reference_hits(ctx), [i for i, _, _ in found])
 
 
 def _skip_one(m):
@@ -1048,7 +1064,7 @@ def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_b
     """
     widths = [_assert_table_matches(_search_context(ag34, 0, res)) for res in dpp_resolutions]
     rng = random.Random(3)
-    relabeled = _relabeled(ag34, rng)
+    relabeled = relabel(ag34, rng)
     widths.append(_assert_table_matches(_search_context(relabeled, rng.randrange(relabeled.b), None)))
     widths.append(_assert_table_matches(_search_context(e1_found, e1_block, None)))
     with monkeypatch.context() as m:

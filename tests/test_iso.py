@@ -8,6 +8,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import relabel
 from embedrank import expected, iso
 from embedrank.designs import IncidenceStructure, resolutions
 from embedrank.errors import WrongParameters
@@ -19,14 +20,6 @@ from embedrank.iso import (
     orbits,
     resolution_orbits,
 )
-
-
-def _relabel(design, rng):
-    perm = list(range(design.v))
-    rng.shuffle(perm)
-    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
-    rng.shuffle(blocks)
-    return IncidenceStructure(design.v, blocks)
 
 
 def _brute_aut_order(design):
@@ -44,7 +37,7 @@ def test_cert_invariant_under_relabeling(fano):
     rng = random.Random(201)
     base = canonical_cert(fano)
     for _ in range(100):
-        other = _relabel(fano, rng)
+        other = relabel(fano, rng)
         cert = canonical_cert(other)
         assert cert.digest == base.digest
         assert cert.payload == base.payload
@@ -56,7 +49,7 @@ def test_cert_invariant_under_relabeling(fano):
             for _ in range(rng.randrange(1, 7))
         ]
         d = IncidenceStructure(v, blocks)
-        assert canonical_cert(_relabel(d, rng)) == canonical_cert(d)
+        assert canonical_cert(relabel(d, rng)) == canonical_cert(d)
 
 
 # Repeated blocks: the payload's lines carry a "2x" multiplicity.
@@ -122,12 +115,12 @@ def test_group_order_matches_sympy(ag34, e2, dpp_group, pg34, e1):
     from sympy.combinatorics import Permutation, PermutationGroup
 
     groups = [
-        automorphism_group(_relabel(ag34, random.Random(2))),
+        automorphism_group(relabel(ag34, random.Random(2))),
         automorphism_group(e2),
         dpp_group,
         automorphism_group(pg_design(3, 2, 2)),
-        automorphism_group(_relabel(pg34, random.Random(1))),
-        automorphism_group(_relabel(e1, random.Random(0))),
+        automorphism_group(relabel(pg34, random.Random(1))),
+        automorphism_group(relabel(e1, random.Random(0))),
     ]
     for group in groups:
         perms = [Permutation(list(g), size=group.degree) for g in group.generators]
@@ -278,7 +271,7 @@ def test_batched_refine_matches_loop_on_random_graphs():
 
 def test_batched_refine_matches_loop_on_designs():
     rng = random.Random(204)
-    designs = [ag_design(3, 2, 2)[0], pg_design(3, 2, 2), _relabel(ag_design(2, 3, 1)[0], rng)]
+    designs = [ag_design(3, 2, 2)[0], pg_design(3, 2, 2), relabel(ag_design(2, 3, 1)[0], rng)]
     for _ in range(6):
         v = rng.randrange(3, 20)
         blocks = [
@@ -334,7 +327,7 @@ def test_labeling_invariance(request, name, seeds):
     digest, order, block_orbits = frozen[name]
     base = canonical_cert(design)
     for seed in seeds:
-        other = _relabel(design, random.Random(seed))
+        other = relabel(design, random.Random(seed))
         cert = canonical_cert(other)
         assert cert == base and cert.digest == base.digest
         if digest is not None:
@@ -586,11 +579,11 @@ def test_search_matches_reference_on_designs(fano, k4_edges, ag34, pg34, e2):
     designs = [_cyclic_design(rng) for _ in range(40)]
     assert any(len(set(d.blocks)) < d.b for d in designs)
     for design in (fano, k4_edges, pg_design(3, 2, 2)):
-        designs += [_relabel(design, random.Random(seed)) for seed in range(3)]
+        designs += [relabel(design, random.Random(seed)) for seed in range(3)]
     designs += [
-        _relabel(ag34, random.Random(0)),
-        _relabel(pg34, random.Random(2)),
-        _relabel(e2, random.Random(1)),
+        relabel(ag34, random.Random(0)),
+        relabel(pg34, random.Random(2)),
+        relabel(e2, random.Random(1)),
     ]
     for design in designs:
         adj, cells, _, _ = iso._graph(design)
@@ -605,7 +598,7 @@ def test_search_matches_reference_on_designs(fano, k4_edges, ag34, pg34, e2):
 def test_search_tree_node_ceilings(request, name, seed, ceiling):
     # Pruning never changes a result, only the tree's size: a weaker rule
     # shows here as more refined nodes before it shows as a slower suite.
-    design = _relabel(request.getfixturevalue(name), random.Random(seed))
+    design = relabel(request.getfixturevalue(name), random.Random(seed))
     adj, cells, _, _ = iso._graph(design)
     search = iso._Search(adj, cells)
     assert search.nodes <= ceiling
@@ -641,7 +634,7 @@ SEARCH_TREES = [
 def test_search_tree_pins(request, name, seed, tree, order, gens_sha256):
     design = request.getfixturevalue(name)
     if seed is not None:
-        design = _relabel(design, random.Random(seed))
+        design = relabel(design, random.Random(seed))
     adj, cells, _, _ = iso._graph(design)
     search = iso._Search(adj, cells)
     assert (search.nodes, search.leaves, search.backjumps) == tree
