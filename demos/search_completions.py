@@ -6,7 +6,7 @@ of weight 21 lying in a dimension-16 code determined by one candidate row.
 The search tries all 3876 candidate rows, finds the 16 viable codes, and
 sorts the 16 completions into isomorphism classes: 4 copies of AG_2(3,4)
 itself and 12 copies of a design with the same parameters and the same
-2-rank 16 but a much smaller automorphism group.  Expect several seconds
+2-rank 16 but a much smaller automorphism group.  Expect about a second
 of wall time; pass a directory to export one design per class.
 
 usage: python3 search_completions.py [outdir]

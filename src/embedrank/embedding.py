@@ -558,18 +558,32 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
     return total, found
 
 
-def _classify(old_rows: list[int], solutions, ncols: int, tag: str, check) -> dict[str, IncidenceStructure]:
-    """Digest -> completion, one per isomorphism class, in order of first appearance.
+def _completions(old_rows: list[int], solutions, ncols: int, tag: str, check) -> dict[frozenset, IncidenceStructure]:
+    """New row set -> completion, the first assembled for each, in order of first appearance.
 
     Each completion is `old_rows` plus one solution's rows, named `tag`;
     InternalCheckFailed unless `check(completion)` holds for every one.
     """
-    out: dict[str, IncidenceStructure] = {}
+    out: dict[frozenset, IncidenceStructure] = {}
     for sol in solutions:
         d = _assemble(old_rows, sol, ncols, tag)
         if not check(d):
             raise InternalCheckFailed(f"{tag} does not have the parameters the search completes to")
-        out.setdefault(canonical_cert(d).digest, d)
+        out.setdefault(frozenset(sol), d)
+    return out
+
+
+def _classes(completions: dict, labels: dict[frozenset, str]) -> dict[str, IncidenceStructure]:
+    """Digest -> completion, the first of each isomorphism class in a `_completions` map.
+
+    A row set missing from `labels` is labeled and added: over the same old
+    rows, equal row sets give the same design up to the new points' order.
+    """
+    out: dict[str, IncidenceStructure] = {}
+    for rows, d in completions.items():
+        if rows not in labels:
+            labels[rows] = canonical_cert(d).digest
+        out.setdefault(labels[rows], d)
     return out
 
 
@@ -589,10 +603,10 @@ def embedding_search(
     every column sum k is viable, and each such choice completes the
     residual to a design with the parent's parameters.  A candidate's
     weight-r words are found by adding its classes' uint8 counts on each
-    residual span word, with no walk of the candidate's own code.  A viable
-    candidate's completions are deduplicated by canonical form, and all are
-    classified into isomorphism classes across candidates.  Only the
-    `_SEARCH_SIZES` instances are searched.
+    residual span word, with no walk of the candidate's own code.  Every
+    completion is checked, and each distinct set of new rows labeled once;
+    the digests deduplicate a candidate's completions and class all of them
+    across candidates.  Only the `_SEARCH_SIZES` instances are searched.
 
     `resolution` defaults to the one the good block induces.  One passed in
     must be a resolution of the good block's substructure (its blocks in
@@ -612,8 +626,9 @@ def embedding_search(
     # Digest -> first design and design count, in order of first appearance.
     reps: dict[str, IncidenceStructure] = {}
     tally: Counter[str] = Counter()
+    labels: dict[frozenset, str] = {}
     for idx, class_indices, solutions in found:
-        cand = _classify(ctx.rows, solutions, ctx.ncols, f"completion {idx}", check)
+        cand = _classes(_completions(ctx.rows, solutions, ctx.ncols, f"completion {idx}", check), labels)
         designs += cand.values()
         for digest, d in cand.items():
             reps.setdefault(digest, d)
@@ -665,7 +680,9 @@ def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
     New point rows must be weight-k' codewords of sym_embedding_code with the
     last coordinate set, meeting every old row in lam'; a backtracking search
     assembles k' of them with pairwise intersection lam' and column sums k'.
-    Works over GF(2), so the design's q must be a power of 2.
+    One completion per isomorphism class is kept, labeled only when there
+    are two to tell apart.  Works over GF(2), so the design's q must be a
+    power of 2.
     """
     params = affine_family(design).params
     target = quasi_residual_params(params.v, params.k, params.lam)
@@ -683,5 +700,6 @@ def sym_embedding_search(design: IncidenceStructure) -> SymEmbedding:
         sp = verify_tdesign(d, 2)
         return sp is not None and (sp.v, sp.k, sp.lam) == target and sp.symmetric
 
-    out = _classify(old_rows, solutions, b + 1, "symmetric completion", check)
-    return SymEmbedding(designs=tuple(out.values()), weight_count=weight_count, target_params=target)
+    out = _completions(old_rows, solutions, b + 1, "symmetric completion", check)
+    designs = tuple((_classes(out, {}) if len(out) > 1 else out).values())
+    return SymEmbedding(designs=designs, weight_count=weight_count, target_params=target)

@@ -86,11 +86,18 @@ def relabel(design: IncidenceStructure, rng, name=None) -> IncidenceStructure:
 
     The tests' seeded digests and search trees depend on this order of `rng` calls.
     """
+    return relabel_with_order(design, rng, name)[0]
+
+
+def relabel_with_order(design: IncidenceStructure, rng, name=None) -> tuple[IncidenceStructure, list[int]]:
+    """relabel(design, rng, name), and its block order: its block i is the design's block order[i]."""
     perm = list(range(design.v))
     rng.shuffle(perm)
-    blocks = [tuple(sorted(perm[x] for x in blk)) for blk in design.blocks]
-    rng.shuffle(blocks)
-    return IncidenceStructure(design.v, blocks, name=name)
+    # A shuffle's swaps depend only on the length, so this is the blocks' own shuffle.
+    order = list(range(design.b))
+    rng.shuffle(order)
+    blocks = [tuple(sorted(perm[x] for x in design.blocks[j])) for j in order]
+    return IncidenceStructure(design.v, blocks, name=name), order
 
 
 def _bundled(name: str) -> IncidenceStructure:

@@ -3,12 +3,13 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import relabel
+from conftest import relabel, relabel_with_order
 from embedrank import codes as codes_module
 from embedrank import designs, embedding
 from embedrank.codes import (
@@ -35,8 +36,13 @@ from embedrank.designs import (
 )
 from embedrank.embedding import (
     _SCAN_CHUNK,
+    CandidateRecord,
+    EmbeddingSearchResult,
+    SymEmbedding,
     _assemble,
+    _classes,
     _combination_rows,
+    _completions,
     _fill,
     _hit_counts,
     _popcount,
@@ -63,7 +69,7 @@ from embedrank.errors import (
     NotGoodBlock,
     WrongParameters,
 )
-from embedrank.expected import E1_DIGEST, PU_WEIGHT32_BY_ORBIT, THM5_REQUIRED_43
+from embedrank.expected import E1_DIGEST, E2_DIGEST, PU_WEIGHT32_BY_ORBIT, THM5_REQUIRED_43
 from embedrank.geometry import ag_design, pg_design
 from embedrank.iso import are_isomorphic, canonical_cert, resolution_orbits
 from embedrank.linalg import MatGFp, mat_rank, mat_rref
@@ -633,6 +639,142 @@ def test_sym_search_invariant_under_relabeling(ag34, pg34, e1, e2, monkeypatch):
         assert {canonical_cert(d).digest for d in moved.designs} == digests
         assert digests == ({canonical_cert(pg34).digest} if design is ag34 else set())
     _assert_assembled_by_columns(assemble, assembled)
+
+
+def _label_every_solution(old_rows, solutions, ncols, tag, check):
+    """Digest -> completion, one per isomorphism class: every solution assembled, checked and labeled."""
+    out = {}
+    for sol in solutions:
+        d = _assemble(old_rows, sol, ncols, tag)
+        assert check(d)
+        out.setdefault(canonical_cert(d).digest, d)
+    return out
+
+
+def _reference_search(design, block):
+    """embedding_search with a canonical label for every solution of every viable candidate."""
+    ctx = _search_context(design, block, None)
+    examined, found = _scan(ctx, _scan_table(ctx))
+
+    def check(d):
+        params = verify_tdesign(d, 2)
+        return params == ctx.params and designs._affine_resolution(d, params) is not None
+
+    completions, records, reps, tally = [], [], {}, Counter()
+    for idx, class_indices, solutions in found:
+        cand = _label_every_solution(ctx.rows, solutions, ctx.ncols, f"completion {idx}", check)
+        completions += cand.values()
+        for digest, d in cand.items():
+            reps.setdefault(digest, d)
+            tally[digest] += 1
+        records.append(CandidateRecord(idx, class_indices, len(ctx.basis) + 1, len(cand), tuple(cand)))
+    iso_classes = tuple((reps[digest], n) for digest, n in tally.items())
+    return EmbeddingSearchResult(examined, len(records), tuple(completions), iso_classes, tuple(records))
+
+
+def _reference_sym(design):
+    """sym_embedding_search with a canonical label for every solution."""
+    params = affine_family(design).params
+    target = quasi_residual_params(params.v, params.k, params.lam)
+    vp, kp, lamp = target
+    words = codewords_of_weight(sym_embedding_code(design), kp)
+    cands = [w for w in words if w >> design.b & 1]
+    old_rows = design.point_masks()
+    solutions = _fill(cands, old_rows, vp - design.v, lamp, _room(kp, design.block_sizes()))
+
+    def check(d):
+        sp = verify_tdesign(d, 2)
+        return sp is not None and (sp.v, sp.k, sp.lam) == target and sp.symmetric
+
+    out = _label_every_solution(old_rows, solutions, design.b + 1, "symmetric completion", check)
+    return SymEmbedding(tuple(out.values()), len(words), target)
+
+
+def _digest_multiset(result):
+    return Counter(digest for record in result.records for digest in record.cert_digests)
+
+
+@pytest.mark.parametrize(
+    "name, block, classes",
+    [
+        ("ag34", 0, {"ag": 4, "e1": 12}),
+        ("e1", 20, {"e1": 12, "e2": 4}),
+        ("e1", 83, {"ag": 4, "e1": 12}),
+        ("e2", 0, {"e1": 12, "e2": 4}),
+    ],
+    ids=["ag34-0", "e1-20", "e1-83", "e2-0"],
+)
+def test_search_at_each_good_block_orbit(request, ag34, monkeypatch, name, block, classes):
+    """One block of each good-block orbit of ag, e1 and e2: its classes, 4 labelings, and a relabeling's digests.
+
+    Each search finds 16 completions with 4 distinct sets of new rows, and
+    labels each set once.  The same search on a seeded relabeling of the
+    design finds the same multiset of digests, with as many labelings.
+    """
+    design = request.getfixturevalue(name)
+    digests = {"ag": canonical_cert(ag34).digest, "e1": E1_DIGEST, "e2": E2_DIGEST}
+    labeled = _spy(monkeypatch, "canonical_cert")
+    result = embedding_search(design, block)
+    assert len(labeled) == 4
+    assert len(result.designs) == 16
+    assert {canonical_cert(rep).digest: n for rep, n in result.iso_classes} == {
+        digests[k]: n for k, n in classes.items()
+    }
+    moved, order = relabel_with_order(design, random.Random(5))
+    assert _digest_multiset(embedding_search(moved, order.index(block))) == _digest_multiset(result)
+    assert len(labeled) == 8
+
+
+@pytest.mark.parametrize("name, block", [("ag34", 0), ("e1", 83)], ids=["ag34-0", "e1-83"])
+def test_search_equals_the_label_every_solution_reference(request, name, block):
+    """Labeling each distinct row set once keeps records, designs, classes and representatives."""
+    design = request.getfixturevalue(name)
+    result = embedding_search(design, block)
+    reference = _reference_search(design, block)
+    assert result == reference
+    assert [d.name for d in result.designs] == [d.name for d in reference.designs]
+    assert [rep.name for rep, _ in result.iso_classes] == [rep.name for rep, _ in reference.iso_classes]
+
+
+def test_sym_search_labels_nothing_and_equals_the_reference(ag34, e1, e2, monkeypatch):
+    """ag has one symmetric completion and e1, e2 none: nothing to tell apart, so no labeling."""
+    labeled = _spy(monkeypatch, "canonical_cert")
+    for design in (ag34, e1, e2):
+        result = sym_embedding_search(design)
+        assert result == _reference_sym(design)
+        assert len(result.designs) == (design is ag34)
+    assert labeled == []
+
+
+def test_classes_keep_the_first_completion_of_each_class(ag34, monkeypatch):
+    """Two row sets with isomorphic completions give one design, the first assembled, each set labeled once.
+
+    The symmetric completion takes this path when it has two or more
+    completions; no known input has, so ag34's block 0 stands in.
+    """
+    ctx = _search_context(ag34, 0, None)
+    _, found = _scan(ctx, _scan_table(ctx))
+    sols = {frozenset(sol): sol for _, _, solutions in found for sol in solutions}
+    # 4 row sets: the parent's own, and 3 that complete to e1
+    assert len(sols) == 4
+    first, second = [
+        sol for sol in sols.values() if canonical_cert(_assemble(ctx.rows, sol, ctx.ncols, "")).digest == E1_DIGEST
+    ][:2]
+
+    def check(d):
+        return verify_tdesign(d, 2) == ctx.params
+
+    # the first row set again, in another order, is the same row set
+    completions = _completions(ctx.rows, [first, second, first[::-1]], ctx.ncols, "t", check)
+    assert list(completions) == [frozenset(first), frozenset(second)]
+    assert completions[frozenset(first)] == _assemble(ctx.rows, first, ctx.ncols, "t")
+    labeled = _spy(monkeypatch, "canonical_cert")
+    labels = {}
+    assert _classes(completions, labels) == {E1_DIGEST: completions[frozenset(first)]}
+    assert len(labeled) == 2 and labels == dict.fromkeys(completions, E1_DIGEST)
+    # known row sets are not labeled again
+    assert _classes(completions, labels) == {E1_DIGEST: completions[frozenset(first)]}
+    assert len(labeled) == 2
 
 
 def _reference_hits(ctx):
