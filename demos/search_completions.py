@@ -17,7 +17,6 @@ import sys
 from embedrank import (
     ag_design,
     automorphism_group,
-    canonical_cert,
     embedding_search,
     mat_rank,
     orbits,
@@ -38,11 +37,10 @@ def main() -> None:
         f"{len(result.designs)} designs"
     )
 
-    for rep, mult in result.iso_classes:
+    for digest, rep, mult in result.iso_classes:
         params = verify_tdesign(rep, 2)
         group = automorphism_group(rep)
         lengths = sorted(len(o) for o in orbits(group, "blocks"))
-        digest = canonical_cert(rep).digest
         print(
             f"\nclass {digest[:12]} (x{mult}): "
             f"2-({params.v},{params.k},{params.lam}), "

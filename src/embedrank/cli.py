@@ -168,9 +168,7 @@ def _cmd_thm5(args) -> int:
 
 
 def _search_report(result) -> dict:
-    classes = []
-    for rep, mult in result.iso_classes:
-        classes.append({"digest": canonical_cert(rep).digest, "multiplicity": mult})
+    classes = [{"digest": digest, "multiplicity": mult} for digest, _, mult in result.iso_classes]
     records = []
     for rec in result.records:
         records.append(
@@ -204,7 +202,7 @@ def _cmd_embed_search(args) -> int:
     result = embedding_search(design, args.block)
     _print_json(_search_report(result))
     if args.out:
-        _export_designs([rep for rep, _ in result.iso_classes], args.out)
+        _export_designs([rep for _, rep, _ in result.iso_classes], args.out)
     return 0
 
 
@@ -348,17 +346,12 @@ def _repro_section5(args) -> int:
         )
         _expect(mismatches, f"stage {stage} candidates", result.candidates_examined, expected.SEARCH_CANDIDATES)
         _expect(mismatches, f"stage {stage} viable codes", result.viable_codes, expected.SEARCH_VIABLE)
-        reps: dict[str, IncidenceStructure] = {}
-        found: dict[str, int] = {}
-        for rep, mult in result.iso_classes:
-            digest = canonical_cert(rep).digest
-            name = names.get(digest, digest[:12])
-            reps[name] = rep
-            found[name] = mult
+        found = {names.get(digest, digest[:12]): mult for digest, _, mult in result.iso_classes}
         print("  classes: " + ", ".join(f"{mult} x {name}" for name, mult in found.items()))
         _expect(mismatches, f"stage {stage} classes", found, want)
         if following is None:
             break
+        reps = {names.get(digest): rep for digest, rep, _ in result.iso_classes}
         if following not in reps:
             mismatches.append(f"stage {stage} found no design with the stored {following} canonical form")
             return _repro_fail(mismatches)

@@ -14,7 +14,6 @@ the symmetric completion work over GF(2), for designs whose q is a power of 2.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
@@ -241,10 +240,20 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class EmbeddingSearchResult:
+    """What the completion search found.
+
+    candidates_examined the candidate new rows the scan tried
+    viable_codes        the candidates with a completion, len(records)
+    designs             each viable candidate's completions, one per class
+    iso_classes         (canonical digest, first design, count in `designs`)
+                        per class, in order of first appearance
+    records             one CandidateRecord per viable candidate
+    """
+
     candidates_examined: int
     viable_codes: int
     designs: tuple[IncidenceStructure, ...]
-    iso_classes: tuple[tuple[IncidenceStructure, int], ...]
+    iso_classes: tuple[tuple[str, IncidenceStructure, int], ...]
     records: tuple[CandidateRecord, ...]
 
 
@@ -623,22 +632,19 @@ def embedding_search(
 
     designs: list[IncidenceStructure] = []
     records: list[CandidateRecord] = []
-    # Digest -> first design and design count, in order of first appearance.
-    reps: dict[str, IncidenceStructure] = {}
-    tally: Counter[str] = Counter()
+    classes: dict[str, list] = {}  # digest -> [first design, count]
     labels: dict[frozenset, str] = {}
     for idx, class_indices, solutions in found:
         cand = _classes(_completions(ctx.rows, solutions, ctx.ncols, f"completion {idx}", check), labels)
         designs += cand.values()
         for digest, d in cand.items():
-            reps.setdefault(digest, d)
-            tally[digest] += 1
+            classes.setdefault(digest, [d, 0])[1] += 1
         records.append(CandidateRecord(idx, class_indices, len(ctx.basis) + 1, len(cand), tuple(cand)))
     return EmbeddingSearchResult(
         candidates_examined=examined,
         viable_codes=len(records),
         designs=tuple(designs),
-        iso_classes=tuple((reps[dg], n) for dg, n in tally.items()),
+        iso_classes=tuple((dg, rep, n) for dg, (rep, n) in classes.items()),
         records=tuple(records),
     )
 

@@ -150,14 +150,12 @@ def test_c06_embedding_search_stage1(stage1, ag34, e1_found):
     for design in stage1.designs:
         params = verify_tdesign(design, 2)
         assert (params.v, params.k, params.lam) == (64, 16, 5)
-    mults = {}
-    for rep, mult in stage1.iso_classes:
-        mults[canonical_cert(rep).digest] = mult
+    mults = {digest: mult for digest, _, mult in stage1.iso_classes}
     assert sorted(mults.values()) == sorted(expected.SEARCH_CLASS_SIZES)
     ag_digest = canonical_cert(ag34).digest
     assert mults[ag_digest] == expected.STAGE1_CLASSES["ag"]
     assert mults[expected.E1_DIGEST] == expected.STAGE1_CLASSES["e1"]
-    four_rep = next(rep for rep, m in stage1.iso_classes if m == 4)
+    four_rep = next(rep for _, rep, m in stage1.iso_classes if m == 4)
     assert are_isomorphic(four_rep, ag34)
     group = automorphism_group(e1_found)
     assert group.order() == expected.AUT_ORDER_E1
@@ -172,9 +170,7 @@ def test_c07_search_stages_2_and_3(stage2, stage3, e2_found):
     for result in (stage2, stage3):
         assert result.candidates_examined == expected.SEARCH_CANDIDATES
         assert result.viable_codes == expected.SEARCH_VIABLE
-    mults2 = {
-        canonical_cert(rep).digest: mult for rep, mult in stage2.iso_classes
-    }
+    mults2 = {digest: mult for digest, _, mult in stage2.iso_classes}
     assert mults2 == {
         expected.E1_DIGEST: expected.STAGE2_CLASSES["e1"],
         expected.E2_DIGEST: expected.STAGE2_CLASSES["e2"],
@@ -184,9 +180,7 @@ def test_c07_search_stages_2_and_3(stage2, stage3, e2_found):
     lengths = tuple(sorted(len(o) for o in orbits(group, "blocks")))
     assert lengths == expected.E2_BLOCK_ORBITS
     assert mat_rank(e2_found.incidence_matrix(2)) == expected.RANK2_E2
-    mults3 = {
-        canonical_cert(rep).digest: mult for rep, mult in stage3.iso_classes
-    }
+    mults3 = {digest: mult for digest, _, mult in stage3.iso_classes}
     assert mults3 == {
         expected.E2_DIGEST: expected.STAGE3_CLASSES["e2"],
         expected.E1_DIGEST: expected.STAGE3_CLASSES["e1"],

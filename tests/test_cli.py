@@ -20,7 +20,7 @@ import pytest
 
 import embedrank
 import pinned_outputs
-from embedrank import expected
+from embedrank import expected, iso
 from embedrank.cli import run
 from embedrank.designs import (
     IncidenceStructure,
@@ -566,3 +566,24 @@ def test_reproduce_mismatch_exits_one(monkeypatch, capsys, target, name, key, va
     assert named in err["message"]
     if target.startswith("section"):
         assert captured.out.splitlines()[-1] == "mismatch"
+
+
+def test_reproduce_section5_labelings(monkeypatch, capsys):
+    """`reproduce section5` runs 13 labelings from a cold cache: ag for the names, then 4 per stage.
+
+    Each stage labels its 4 distinct completions.  The classes are named by
+    the result's digests, and the facts and good block of the design
+    searched next reuse its labeling from the search that found it.
+    """
+    runs = []
+
+    class Counting(iso._Search):
+        def __init__(self, adj, cells):
+            runs.append(1)
+            super().__init__(adj, cells)
+
+    iso._analyze.cache_clear()
+    monkeypatch.setattr(iso, "_Search", Counting)
+    assert run(["reproduce", "section5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    assert len(runs) == 13

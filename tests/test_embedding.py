@@ -622,7 +622,7 @@ def test_search_classes_invariant_under_relabeling(ag34, monkeypatch):
     assemble = embedding._assemble
     assembled = _spy(monkeypatch, "_assemble")
     result = embedding_search(relabeled, rng.randrange(relabeled.b))
-    classes = {canonical_cert(rep).digest: n for rep, n in result.iso_classes}
+    classes = {digest: n for digest, _, n in result.iso_classes}
     assert classes == {canonical_cert(ag34).digest: 4, E1_DIGEST: 12}
     _assert_assembled_by_columns(assemble, assembled)
 
@@ -668,7 +668,7 @@ def _reference_search(design, block):
             reps.setdefault(digest, d)
             tally[digest] += 1
         records.append(CandidateRecord(idx, class_indices, len(ctx.basis) + 1, len(cand), tuple(cand)))
-    iso_classes = tuple((reps[digest], n) for digest, n in tally.items())
+    iso_classes = tuple((digest, reps[digest], n) for digest, n in tally.items())
     return EmbeddingSearchResult(examined, len(records), tuple(completions), iso_classes, tuple(records))
 
 
@@ -705,11 +705,12 @@ def _digest_multiset(result):
     ids=["ag34-0", "e1-20", "e1-83", "e2-0"],
 )
 def test_search_at_each_good_block_orbit(request, ag34, monkeypatch, name, block, classes):
-    """One block of each good-block orbit of ag, e1 and e2: its classes, 4 labelings, and a relabeling's digests.
+    """One block of each good-block orbit of ag, e1 and e2: its classes, 4 labelings, and two relabelings' digests.
 
     Each search finds 16 completions with 4 distinct sets of new rows, and
-    labels each set once.  The same search on a seeded relabeling of the
-    design finds the same multiset of digests, with as many labelings.
+    labels each set once.  The same search on each of two seeded
+    relabelings of the design finds the same multiset of digests, with as
+    many labelings.
     """
     design = request.getfixturevalue(name)
     digests = {"ag": canonical_cert(ag34).digest, "e1": E1_DIGEST, "e2": E2_DIGEST}
@@ -717,23 +718,33 @@ def test_search_at_each_good_block_orbit(request, ag34, monkeypatch, name, block
     result = embedding_search(design, block)
     assert len(labeled) == 4
     assert len(result.designs) == 16
-    assert {canonical_cert(rep).digest: n for rep, n in result.iso_classes} == {
+    assert {digest: n for digest, _, n in result.iso_classes} == {
         digests[k]: n for k, n in classes.items()
     }
-    moved, order = relabel_with_order(design, random.Random(5))
-    assert _digest_multiset(embedding_search(moved, order.index(block))) == _digest_multiset(result)
-    assert len(labeled) == 8
+    for seed in (5, 6):
+        labeled.clear()
+        moved, order = relabel_with_order(design, random.Random(seed))
+        assert _digest_multiset(embedding_search(moved, order.index(block))) == _digest_multiset(result)
+        assert len(labeled) == 4
 
 
 @pytest.mark.parametrize("name, block", [("ag34", 0), ("e1", 83)], ids=["ag34-0", "e1-83"])
 def test_search_equals_the_label_every_solution_reference(request, name, block):
-    """Labeling each distinct row set once keeps records, designs, classes and representatives."""
+    """Labeling each distinct row set once keeps records, designs, classes and representatives.
+
+    Callers read a class's digest from its `iso_classes` entry: the entries'
+    digests are the records' digests in order of first appearance, and each
+    is its representative's canonical digest.
+    """
     design = request.getfixturevalue(name)
     result = embedding_search(design, block)
     reference = _reference_search(design, block)
     assert result == reference
     assert [d.name for d in result.designs] == [d.name for d in reference.designs]
-    assert [rep.name for rep, _ in result.iso_classes] == [rep.name for rep, _ in reference.iso_classes]
+    assert [rep.name for _, rep, _ in result.iso_classes] == [rep.name for _, rep, _ in reference.iso_classes]
+    first_seen = dict.fromkeys(digest for record in result.records for digest in record.cert_digests)
+    assert [digest for digest, _, _ in result.iso_classes] == list(first_seen)
+    assert all(canonical_cert(rep).digest == digest for digest, rep, _ in result.iso_classes)
 
 
 def test_sym_search_labels_nothing_and_equals_the_reference(ag34, e1, e2, monkeypatch):
