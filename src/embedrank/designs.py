@@ -557,7 +557,10 @@ def parse_json(text: str) -> IncidenceStructure:
         type(blk) is list and all(type(x) is int for x in blk) for blk in blocks
     ):
         raise WrongParameters("'blocks' must be a list of integer lists")
-    return IncidenceStructure(v, blocks, name=payload.get("name"))
+    name = payload.get("name")
+    if name is not None and type(name) is not str:
+        raise WrongParameters(f"'name' must be a string or null, got {name!r}")
+    return IncidenceStructure(v, blocks, name=name)
 
 
 def save_design(design: IncidenceStructure, path: str) -> None:

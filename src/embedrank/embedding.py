@@ -99,23 +99,16 @@ def thm1_certify(design: IncidenceStructure, p: int = 2):
     return out
 
 
-def _union_basis(code: LinearCode, masks: list[int]) -> list[int]:
-    """Unions of the disjoint class masks that span the codewords among all unions.
+def _kernel(pairs, n: int) -> list[int]:
+    """A basis of the payloads of the combinations of `pairs` whose images XOR to 0.
 
-    A union of classes lies in the code exactly when the residues of its
-    classes, reduced against the RREF basis, XOR to 0.  Each residue is tagged
-    with its class in the bits above the code length, so after one RREF the
-    rows whose pivot is a tag bit have residue 0, and their tags form a basis
-    of that kernel.  An empty class adds a zero word.
+    Images and payloads lie below bit n, and each pair is the row
+    image | payload << n.  After one RREF the rows whose pivot lies past bit
+    n have image 0, and their payloads form that basis.
     """
-    n = code.length
-    tagged = [code._residue(m) | 1 << (n + i) for i, m in enumerate(masks)]
-    rref, pivots = mat_rref(MatGFp.from_bitrows(tagged, n + len(masks)))
-    basis = []
-    for row, piv in zip(rref.bits, pivots):
-        if piv >= n:
-            basis.append(sum(m for i, m in enumerate(masks) if (row >> (n + i)) & 1))
-    return basis
+    rows = [image | payload << n for image, payload in pairs]
+    rref, pivots = mat_rref(MatGFp.from_bitrows(rows, 2 * n))
+    return [row >> n for row, piv in zip(rref.bits, pivots) if piv >= n]
 
 
 def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
@@ -125,7 +118,10 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     Resolution is a partition of 0..m-1 by construction, so only m must equal
     the code length (WrongParameters otherwise).
     These codewords are the subcode C ∩ V, V the span of the class
-    indicators; _union_basis spans it, and only that subcode is walked:
+    indicators.  A union of classes lies in C exactly when the residues of
+    its classes against the RREF basis XOR to 0, so `_kernel` gives a basis
+    of C ∩ V, re-RREFed into the subcode's canonical basis, and only that
+    subcode is walked:
     2^dim(C ∩ V) words, never more than the 2^dim(C) of the whole code.  The
     whole code's size is still compared with codes.DEFAULT_CAP, so
     CapExceeded is raised for the same codes as by a walk of the whole code.
@@ -143,8 +139,8 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
         return [0]
     if not 0 < w <= code.length:
         return []
-    masks = resolution.masks()
-    sub = code_from_bitrows(_union_basis(code, masks), code.length)
+    unions = _kernel([(code._residue(m), m) for m in resolution.masks()], code.length)
+    sub = code_from_bitrows(unions, code.length)
     return _weight_words(sub.basis_bits, sub.length, w)
 
 
@@ -191,9 +187,10 @@ def thm5_necessary(design: IncidenceStructure, block_idx: int) -> NecessaryCondi
     supported on unions of its parallel classes; fewer rules the embedding
     out.  The count is over GF(2), so q must be a power of 2 and at least 4.
     parallel_union_codewords finds the words by walking only the subcode of
-    class unions (2^15 words instead of 2^24 on AG_3(4,4)), while the cap
-    still bounds the whole code.  For another resolution of the
-    substructure, call parallel_union_codewords directly.
+    class unions, spanned by one kernel RREF of the class residues (2^15
+    words instead of 2^24 on AG_3(4,4)), while the cap still bounds the
+    whole code.  For another resolution of the substructure, call
+    parallel_union_codewords directly.
     """
     return _union_count(design, lambda q, n: comb(q ** (n - 1), 2), block_idx)
 
@@ -408,8 +405,9 @@ class _ScanTable(NamedTuple):
     """The span words a candidate can turn into a new row, with their class counts.
 
     words   limb-major uint64 columns: the span words with no parallel
-            column whose counts can reach `target`, in the order of the
-            Gray walk of the whole span
+            column whose counts can reach `target`, in no order the
+            search relies on: a candidate's hits are the same set in any
+            order, and only which completion represents a class may change
     counts  uint8, counts[c, i] = |words[i] & class c|
     target  uint8, the sum of the counts of a candidate's non-fixed classes
             that makes words[i] XOR its row weigh r
@@ -428,14 +426,9 @@ def _popcount(cols: np.ndarray) -> np.ndarray:
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
     """The span words that meet no parallel column and can weigh r under some candidate.
 
-    Only the parallel-free subcode is spanned: each basis row is reduced
-    against the parallel columns (those with room 0), tagged with the basis
-    rows XORed into it, and the rows whose parallel bits vanish span the
-    subcode.  A word's tag holds the basis rows at the set bits of gray(i)
-    for its position i in the Gray walk of the whole span, so the inverse
-    Gray code of the tag is i, and the kept words are put in that order.
-    A tag takes one 64-bit limb, so the basis may have at most 64 rows (the
-    searched sizes have 15); more raise OverflowError.
+    Only the parallel-free subcode is spanned: `_kernel` gives a basis of
+    the combinations of basis rows whose bits on the parallel columns (those
+    with room 0) XOR to 0, and the table lists the span of that basis.
 
     A word can weigh r when its weight is even and its target lies between 0
     and the largest sum of `per_candidate` non-fixed class counts.  Only a
@@ -447,31 +440,20 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     at most per_candidate * m, so the first filter drops no word the second
     keeps.
     """
-    n, k = ctx.ncols, len(ctx.basis)
+    n = ctx.ncols
     par = sum(1 << j for j, c in enumerate(ctx.room) if c == 0)
-    # A basis row's parallel bits, then its tag, then the row: after the
-    # RREF, the rows whose pivot lies past the parallel bits hold a basis of
-    # the subcode, each word with its tag.
-    tagged = [row & par | 1 << (n + j) | row << (n + k) for j, row in enumerate(ctx.basis)]
-    rref, pivots = mat_rref(MatGFp.from_bitrows(tagged, 2 * n + k))
-    free = [row >> n for row, piv in zip(rref.bits, pivots) if piv >= n]
-    cols = _limbs([f >> k for f in free], n)
-    span = _span_table(np.vstack((cols, _limbs([f & ((1 << k) - 1) for f in free], 64))))
-    words, pos = span[: len(cols)], span[len(cols)]
+    free = _kernel([(row & par, row) for row in ctx.basis], n)
+    words = _span_table(_limbs(free, n))
     class_limbs = _limbs(ctx.class_masks, n).T
     largest = max((m.bit_count() for m in ctx.class_masks), default=0)
     weight = _popcount(words)
     target = (weight // 2).astype(np.int16) - _popcount(words & class_limbs[ctx.fixed, :, None])
     ok = np.flatnonzero((weight % 2 == 0) & (target >= 0) & (target <= ctx.per_candidate * largest))
-    words, target, pos = words[:, ok], target[ok], pos[ok]
+    words, target = words[:, ok], target[ok]
     counts = np.bitwise_count(words[None] & class_limbs[:, :, None]).sum(axis=1, dtype=np.int16)
     others = np.delete(counts, ctx.fixed, axis=0)
     top = sum(np.minimum(np.count_nonzero(others >= v, axis=0), ctx.per_candidate) for v in range(1, largest + 1))
     ok = np.flatnonzero(target <= top)
-    pos = pos[ok]
-    for shift in (1, 2, 4, 8, 16, 32):
-        pos ^= pos >> shift
-    ok = ok[np.argsort(pos)]
     return _ScanTable(words[:, ok], counts[:, ok].astype(np.uint8), target[ok].astype(np.uint8))
 
 

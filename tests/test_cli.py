@@ -31,6 +31,7 @@ from embedrank.designs import (
     parse_json,
     verify_tdesign,
 )
+from embedrank.embedding import embedding_search
 from embedrank.errors import EmbedrankError
 from embedrank.geometry import ag_design
 
@@ -93,6 +94,7 @@ MALFORMED_DESIGNS = [
     ("fraction.json", b'{"v": 3, "blocks": [[0, 1.5]]}', "WrongParameters"),
     ("negative_v.json", b'{"v": -1, "blocks": []}', "WrongParameters"),
     ("out_of_range.json", b'{"v": 3, "blocks": [[0, 3]]}', "BadIndex"),
+    ("name_int.json", b'{"v": 3, "blocks": [[0, 1]], "name": 5}', "WrongParameters"),
 ]
 
 
@@ -542,6 +544,18 @@ def test_embed_search_exports_classes(tmp_path, capsys):
     for path2 in exports:
         params = verify_tdesign(parse_des(path2.read_text()), 2)
         assert (params.v, params.k, params.lam) == (64, 16, 5)
+    # one file per class, named and written from its canonical certificate:
+    # the last completion of each class gives the same bytes as the first
+    digests = [c["digest"] for c in report["iso_classes"]]
+    assert [p.name for p in exports] == sorted(f"design-{digest[:16]}.des" for digest in digests)
+    result = embedding_search(parse_des(path.read_text()), 0)
+    found = [digest for record in result.records for digest in record.cert_digests]
+    last = dict(zip(found, result.designs, strict=True))
+    assert sorted(last) == sorted(digests)
+    for digest, design in last.items():
+        cert = iso.canonical_cert(design)
+        assert cert.digest == digest
+        assert (out_dir / f"design-{digest[:16]}.des").read_bytes() == cert.payload
 
 
 # one frozen value per target, changed so that the computed value no longer matches

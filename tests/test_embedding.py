@@ -49,6 +49,7 @@ from embedrank.embedding import (
     _room,
     _scan,
     _scan_table,
+    _ScanTable,
     _search_context,
     _SearchContext,
     embeddability,
@@ -533,10 +534,19 @@ def _scan_all(ctx):
     return _scan(ctx, _scan_table(ctx))[1]
 
 
+def _unordered(found):
+    """Scan results with each candidate's solutions as a sorted list of sorted tuples.
+
+    The scan table's word order is not part of the output, and `_fill`
+    lists its choices in the order of the words it is given.
+    """
+    return [(idx, classes, sorted(tuple(sorted(sol)) for sol in sols)) for idx, classes, sols in found]
+
+
 def _assert_scan_matches(design, block, resolution=None):
     ctx = _search_context(design, block, resolution)
     found = _scan_all(ctx)
-    assert found == _reference_scan(_reference_args(ctx))
+    assert _unordered(found) == _unordered(_reference_scan(_reference_args(ctx)))
     return found
 
 
@@ -747,6 +757,23 @@ def test_search_equals_the_label_every_solution_reference(request, name, block):
     assert all(canonical_cert(rep).digest == digest for digest, rep, _ in result.iso_classes)
 
 
+@pytest.mark.parametrize("name, block", [("ag34", 0), ("e1", 83)], ids=["ag34-0", "e1-83"])
+def test_search_does_not_depend_on_the_table_order(request, monkeypatch, name, block):
+    """The scan table with its columns reversed gives the same candidates, records and classes.
+
+    Only the representatives may differ; each is still of its class.
+    """
+    design = request.getfixturevalue(name)
+    result = embedding_search(design, block)
+    table = embedding._scan_table
+    monkeypatch.setattr(embedding, "_scan_table", lambda ctx: _ScanTable(*(a[..., ::-1] for a in table(ctx))))
+    reversed_ = embedding_search(design, block)
+    assert reversed_.candidates_examined == result.candidates_examined
+    assert reversed_.records == result.records
+    assert [(digest, n) for digest, _, n in reversed_.iso_classes] == [(digest, n) for digest, _, n in result.iso_classes]
+    assert all(canonical_cert(rep).digest == digest for digest, rep, _ in reversed_.iso_classes)
+
+
 def test_sym_search_labels_nothing_and_equals_the_reference(ag34, e1, e2, monkeypatch):
     """ag has one symmetric completion and e1, e2 none: nothing to tell apart, so no labeling."""
     labeled = _spy(monkeypatch, "canonical_cert")
@@ -805,7 +832,7 @@ def _reference_hits(ctx):
 
 
 def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
-    """The table's hits are exactly the reference's weight-r words, in its order.
+    """The table's hits are exactly the reference's weight-r words.
 
     The lambda test downstream discards words of the wrong weight, so only this
     comparison sees a hit the class-count identity should not give.
@@ -818,7 +845,7 @@ def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_r
         ctx = _search_context(design, block, resolution)
         expected = _reference_hits(ctx)
         assert expected
-        assert _table_hits(ctx) == expected
+        assert sorted(_table_hits(ctx)) == sorted(expected)
 
 
 def _candidate_rows(ctx):
@@ -888,15 +915,15 @@ def test_class_count_hits_on_random_contexts():
         ctx = _random_context(rng, nclasses, size, npar)
         assert len(_limbs(ctx.basis, ctx.ncols)) == nlimbs
         expected = _reference_hits(ctx)
-        assert _table_hits(ctx) == expected
-        assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
+        assert sorted(_table_hits(ctx)) == sorted(expected)
+        assert _unordered(_scan_all(ctx)) == _unordered(_reference_scan(_reference_args(ctx)))
         total += len(expected)
     for per_candidate in (4, 7) * 2:
         ctx = _wide_context(rng, per_candidate)
         assert ctx.ncols == 128 and len(_limbs(ctx.basis, ctx.ncols)) == 2
         expected = _reference_hits(ctx)
-        assert _table_hits(ctx) == expected
-        assert _scan_all(ctx) == _reference_scan(_reference_args(ctx))
+        assert sorted(_table_hits(ctx)) == sorted(expected)
+        assert _unordered(_scan_all(ctx)) == _unordered(_reference_scan(_reference_args(ctx)))
         total += len(expected)
     assert total > 100
 
@@ -1012,9 +1039,9 @@ def test_scan_finds_planted_completions():
     for need, (size, extra, nlimbs) in cases:
         ctx, planted = _planted_context(rng, size, need, extra)
         assert len(_limbs(ctx.basis, ctx.ncols)) == nlimbs
-        assert _table_hits(ctx) == _reference_hits(ctx)
+        assert sorted(_table_hits(ctx)) == sorted(_reference_hits(ctx))
         found = _scan_all(ctx)
-        assert found == _reference_scan(_reference_args(ctx))
+        assert _unordered(found) == _unordered(_reference_scan(_reference_args(ctx)))
         found_planted += any(set(sol) == set(planted) for _, _, sols in found for sol in sols)
     assert found_planted == len(cases) == 48
 
@@ -1033,8 +1060,13 @@ def _spy(monkeypatch, name):
 
 
 def _gated_fills(ctx, hits, gated):
-    """The `_fill` calls the scan should make: each gated candidate's reference hits, with the context's old rows."""
-    return [([w for j, w in hits if j == i], ctx.rows, ctx.need, ctx.lam, ctx.room) for i in gated]
+    """The `_fill` calls the scan should make: each gated candidate's reference hits, sorted, with the context's old rows."""
+    return [(sorted(w for j, w in hits if j == i), ctx.rows, ctx.need, ctx.lam, ctx.room) for i in gated]
+
+
+def _sorted_fills(calls):
+    """`_fill` calls recorded by `_spy`, each one's words sorted."""
+    return [(sorted(words), *rest) for words, *rest in calls]
 
 
 def test_count_gate_is_exact_at_its_boundary(monkeypatch):
@@ -1055,8 +1087,8 @@ def test_count_gate_is_exact_at_its_boundary(monkeypatch):
             with monkeypatch.context() as m:
                 filled = _spy(m, "_fill")
                 found = _scan_all(ctx)
-            assert found == _reference_scan(_reference_args(ctx))
-            assert filled == _gated_fills(ctx, hits, [i for i, c in enumerate(counts) if c >= need])
+            assert _unordered(found) == _unordered(_reference_scan(_reference_args(ctx)))
+            assert _sorted_fills(filled) == _gated_fills(ctx, hits, [i for i, c in enumerate(counts) if c >= need])
             at_gate += counts.count(need)
             below_gate += counts.count(need - 1)
         assert at_gate
@@ -1082,7 +1114,7 @@ def test_count_gate_skips_non_good_resolutions(ag34, ag34_gb, dpp_group, dpp_res
         filled = _spy(m, "_fill")
         _, found = _scan(ctx, _scan_table(ctx))
     assert len(found) == 16
-    assert filled == _gated_fills(ctx, _reference_hits(ctx), [i for i, _, _ in found])
+    assert _sorted_fills(filled) == _gated_fills(ctx, _reference_hits(ctx), [i for i, _, _ in found])
 
 
 def _skip_one(m):
@@ -1197,17 +1229,23 @@ def _reference_table(ctx):
     return words[:, ok], counts[:, ok].astype(np.uint8), target[ok].astype(np.uint8)
 
 
+def _by_word(words, counts, target):
+    """A table's fields with its columns sorted by word; the words of a span are distinct."""
+    order = np.lexsort(words)
+    return words[:, order], counts[:, order], target[order]
+
+
 def _assert_table_matches(ctx):
-    """`_scan_table(ctx)` equals the reference field by field, in dtype, shape, bytes and order; returns its width."""
+    """`_scan_table(ctx)` equals the reference field by field, in dtype, shape and bytes, columns sorted by word; returns its width."""
     table = _scan_table(ctx)
-    for got, want in zip(table, _reference_table(ctx), strict=True):
+    for got, want in zip(_by_word(*table), _by_word(*_reference_table(ctx)), strict=True):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
     return table.words.shape[1]
 
 
 def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_block, monkeypatch):
-    """The table spanned on the parallel-free subcode is the whole span's, filtered, in walk order.
+    """The table spanned on the parallel-free subcode holds the whole span's words, filtered.
 
     Covers every resolution of AG_2(3,4)'s block-0 substructure, a relabeled
     AG_2(3,4), e1 at the block its search starts from, AG_2(3,2) in one limb,
