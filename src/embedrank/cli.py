@@ -8,8 +8,9 @@ tests (`embeddable`, `thm5`), the completion searches (`embed-search`,
 a stored computation and diffs it against the frozen values in `expected`.
 
 Usage errors exit 2 (argparse).  Computation errors exit 1 and print a JSON
-object {"error": <class>, "message": <text>} on stderr.  All output is
-deterministic.
+object {"error": <class>, "message": <text>} on stderr.  A reader that
+closes stdout early (`embedrank gen ag 3 4 2 | head -n 1`) ends the run
+with status 0 and nothing on stderr.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -525,7 +526,16 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at the null device, so that
+        # the interpreter's own flush at exit has somewhere to write.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (EmbedrankError, OSError) as exc:
         _error_json(type(exc).__name__, str(exc))
         return 1

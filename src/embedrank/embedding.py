@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -254,34 +255,39 @@ class EmbeddingSearchResult:
     records: tuple[CandidateRecord, ...]
 
 
-class _SearchContext(NamedTuple):
-    """The residual matrix and the numbers the search derives from the parent.
+class _Residual(NamedTuple):
+    """What a search derives from the parent and the good block alone; see `_residual`.
 
-    rows          residual point rows over substructure, parallel and removed columns
-    class_masks   the resolution's classes over the substructure columns
-    fixed         the class every candidate covers: the one with the least block
-    room          per column, the parent's k minus the column sum of `rows`
-    r, lam        a new row's weight and its intersection with every other row
-    need          new rows to add: the parent's k, the points of the good block
-    per_candidate parallel classes a candidate's support covers beside `fixed`
+    substructure  the good block's substructure, its block masks cached
+    resolution    the resolution the good block induces
+    rows, basis   the residual point rows and their RREF basis
+    free          a basis of the span words of `basis` that meet no parallel column
+    least_block   the substructure's least block, which the fixed class holds
     """
 
     params: DesignParams
+    substructure: IncidenceStructure
+    resolution: Resolution
     ncols: int
-    rows: list[int]
-    basis: list[int]
-    class_masks: list[int]
-    fixed: int
-    room: list[int]
-    r: int
-    lam: int
-    need: int
-    per_candidate: int
+    rows: tuple[int, ...]
+    basis: tuple[int, ...]
+    free: tuple[int, ...]
+    room: tuple[int, ...]
+    least_block: int
 
 
-def _search_context(
-    design: IncidenceStructure, block_idx: int, resolution: Resolution | None
-) -> _SearchContext:
+@lru_cache(maxsize=128)
+def _residual(design: IncidenceStructure, block_idx: int) -> _Residual:
+    """The residual at good block `block_idx`, with everything its searches share.
+
+    Cached per (design, block), like `affine_family`, so the searches of one
+    residual under each resolution of its substructure build it once.  Only
+    ints, tuples and the substructure are kept, and nothing that depends on
+    a design's name, since equal designs share a record.  Raises NotGoodBlock,
+    InfeasibleInstance outside `_SEARCH_SIZES`, and InternalCheckFailed past
+    128 columns or when the room is not k new rows of weight r; an exception
+    is not cached, so every such call raises again.
+    """
     gb = good_block(design, block_idx)
     if gb is None:
         raise NotGoodBlock(f"block {block_idx} is not good")
@@ -291,19 +297,9 @@ def _search_context(
             f"completion search is guarded to the (q, n) = {_SEARCH_SIZES} sizes, got ({q}, {n})"
         )
     dpp = gb.substructure
-    res = gb.resolution
-    if resolution is not None:
-        # Raises unless it resolves the substructure; the caller's class
-        # order stays, since candidate indices follow it.
-        make_resolution(dpp, resolution.classes)
-        res = resolution
     ncols = dpp.b + len(gb.parallel) + 1
     if ncols > 128:
         raise InternalCheckFailed(f"{ncols} columns exceed the search's 128")
-    # The premise of the scan's class-count identity (see _scan).
-    per_candidate = (params.r - 1) // res.class_size - 1
-    if 1 + (per_candidate + 1) * res.class_size != params.r:
-        raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
     # Each point's parallel-column bits.
     par_bits = [0] * design.v
     for m, j in enumerate(gb.parallel):
@@ -316,12 +312,72 @@ def _search_context(
     room = _room(params.k, dpp.block_sizes() + [len(design.blocks[j]) for j in gb.parallel])
     if sum(room) != params.k * params.r:
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
-    rref, pivots = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    least_block = min(range(dpp.b), key=lambda j: dpp.blocks[j])
-    fixed = next(c for c, cls in enumerate(res.classes) if least_block in cls)
+    rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
+    return _Residual(
+        params=params, substructure=dpp, resolution=gb.resolution, ncols=ncols,
+        rows=tuple(rows), basis=tuple(rref.bits), free=tuple(_parallel_free(rref.bits, room, ncols)),
+        room=tuple(room), least_block=min(range(dpp.b), key=lambda j: dpp.blocks[j]),
+    )
+
+
+def _parallel_free(basis, room, n: int) -> list[int]:
+    """A basis of the span words of `basis` that meet no parallel column, a column with room 0.
+
+    `_kernel` gives the combinations of basis rows whose bits on the
+    parallel columns XOR to 0.
+    """
+    par = sum(1 << j for j, c in enumerate(room) if c == 0)
+    return _kernel([(row & par, row) for row in basis], n)
+
+
+class _SearchContext(NamedTuple):
+    """The residual matrix and the numbers the search derives from the parent.
+
+    rows          residual point rows over substructure, parallel and removed columns
+    basis         their RREF basis
+    free          a basis of the span words of `basis` that meet no parallel column
+    class_masks   the resolution's classes over the substructure columns
+    fixed         the class every candidate covers: the one with the least block
+    room          per column, the parent's k minus the column sum of `rows`
+    r, lam        a new row's weight and its intersection with every other row
+    need          new rows to add: the parent's k, the points of the good block
+    per_candidate parallel classes a candidate's support covers beside `fixed`
+    """
+
+    params: DesignParams
+    ncols: int
+    rows: list[int]
+    basis: tuple[int, ...]
+    free: tuple[int, ...]
+    class_masks: list[int]
+    fixed: int
+    room: list[int]
+    r: int
+    lam: int
+    need: int
+    per_candidate: int
+
+
+def _search_context(
+    design: IncidenceStructure, block_idx: int, resolution: Resolution | None
+) -> _SearchContext:
+    """The search's context under `resolution`: the cached `_residual` and the resolution's classes."""
+    rec = _residual(design, block_idx)
+    res = rec.resolution
+    if resolution is not None:
+        # Raises unless it resolves the substructure; the caller's class
+        # order stays, since candidate indices follow it.
+        make_resolution(rec.substructure, resolution.classes)
+        res = resolution
+    params = rec.params
+    # The premise of the scan's class-count identity (see _scan).
+    per_candidate = (params.r - 1) // res.class_size - 1
+    if 1 + (per_candidate + 1) * res.class_size != params.r:
+        raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
+    fixed = next(c for c, cls in enumerate(res.classes) if rec.least_block in cls)
     return _SearchContext(
-        params=params, ncols=ncols, rows=rows, basis=rref.bits,
-        class_masks=res.masks(), fixed=fixed, room=room,
+        params=params, ncols=rec.ncols, rows=list(rec.rows), basis=rec.basis, free=rec.free,
+        class_masks=res.masks(), fixed=fixed, room=list(rec.room),
         r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
 
@@ -426,9 +482,8 @@ def _popcount(cols: np.ndarray) -> np.ndarray:
 def _scan_table(ctx: _SearchContext) -> _ScanTable:
     """The span words that meet no parallel column and can weigh r under some candidate.
 
-    Only the parallel-free subcode is spanned: `_kernel` gives a basis of
-    the combinations of basis rows whose bits on the parallel columns (those
-    with room 0) XOR to 0, and the table lists the span of that basis.
+    Only the parallel-free subcode is spanned: the table lists the span of
+    the context's `free` basis (see `_parallel_free`).
 
     A word can weigh r when its weight is even and its target lies between 0
     and the largest sum of `per_candidate` non-fixed class counts.  Only a
@@ -441,9 +496,7 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     keeps.
     """
     n = ctx.ncols
-    par = sum(1 << j for j, c in enumerate(ctx.room) if c == 0)
-    free = _kernel([(row & par, row) for row in ctx.basis], n)
-    words = _span_table(_limbs(free, n))
+    words = _span_table(_limbs(ctx.free, n))
     class_limbs = _limbs(ctx.class_masks, n).T
     largest = max((m.bit_count() for m in ctx.class_masks), default=0)
     weight = _popcount(words)

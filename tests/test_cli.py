@@ -491,6 +491,38 @@ def _declared_console_script() -> str:
         return tomllib.load(fh)["project"]["scripts"]["embedrank"]
 
 
+CLOSED_PIPE_COMMANDS = [
+    ["gen", "ag", "3", "4", "2"],
+    ["goodblocks", "ag.des"],
+    ["reproduce", "table2"],
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_PIPE_COMMANDS, ids=[a[0] for a in CLOSED_PIPE_COMMANDS])
+def test_closed_stdout_pipe_exits_quietly(tmp_path, argv, unbuffered):
+    """A command whose stdout pipe has no reader exits 0 with nothing on stderr.
+
+    The read end is closed before the child starts, so its first write or
+    its flush at the end meets EPIPE, as under `embedrank ... | head -n 1`.
+    """
+    assert run(["gen", "ag", "3", "4", "2", "-o", str(tmp_path / "ag.des")]) == 0
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedrank.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
 def test_console_script_installed(tmp_path):
     """The declared `embedrank` console script runs as a program.
 

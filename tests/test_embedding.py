@@ -45,6 +45,7 @@ from embedrank.embedding import (
     _completions,
     _fill,
     _hit_counts,
+    _parallel_free,
     _popcount,
     _room,
     _scan,
@@ -379,6 +380,18 @@ def test_fill_matches_brute_force_on_random_instances():
 
 def _clear_fact_caches():
     affine_family.cache_clear()
+    embedding._residual.cache_clear()
+
+
+@pytest.fixture
+def lift_guard(monkeypatch):
+    """`lift_guard(sizes)` lets the search take the (q, n) = sizes instances for one test.
+
+    The residuals cached meanwhile are dropped afterwards, so a later test
+    outside those sizes meets the guard again.
+    """
+    yield lambda sizes: monkeypatch.setattr(embedding, "_SEARCH_SIZES", sizes)
+    embedding._residual.cache_clear()
 
 
 def test_affine_facts_computed_once(monkeypatch):
@@ -411,9 +424,9 @@ def test_affine_facts_computed_once(monkeypatch):
     assert len(pair_counts) == 2
 
 
-def test_completion_check_walks_pairs_once(monkeypatch):
+def test_completion_check_walks_pairs_once(monkeypatch, lift_guard):
     """Each completion the search checks costs one walk of its point pairs."""
-    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    lift_guard((2, 3))
     planes, _ = ag_design(3, 2, 2)
     _clear_fact_caches()
     walks = []
@@ -431,9 +444,9 @@ def test_completion_check_walks_pairs_once(monkeypatch):
     assert len(walks) == 1 + len(assembled)
 
 
-def test_failed_completion_check_raises(monkeypatch):
+def test_failed_completion_check_raises(monkeypatch, lift_guard):
     """A completion failing its search's parameter check raises in both searches."""
-    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    lift_guard((2, 3))
     planes, _ = ag_design(3, 2, 2)
     monkeypatch.setattr(embedding, "verify_tdesign", lambda design, t: None)
     assembled = _spy(monkeypatch, "_assemble")
@@ -831,7 +844,7 @@ def _reference_hits(ctx):
     return out
 
 
-def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
+def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_resolutions, lift_guard):
     """The table's hits are exactly the reference's weight-r words.
 
     The lambda test downstream discards words of the wrong weight, so only this
@@ -841,7 +854,7 @@ def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_r
     res = _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions)[0]
     cases = ((ag34, 0, None, (4, 3)), (ag34, 0, res, (4, 3)), (planes, 3, None, (2, 3)))
     for design, block, resolution, sizes in cases:
-        monkeypatch.setattr(embedding, "_SEARCH_SIZES", sizes)
+        lift_guard(sizes)
         ctx = _search_context(design, block, resolution)
         expected = _reference_hits(ctx)
         assert expected
@@ -880,11 +893,17 @@ def _random_context(rng, nclasses, size, npar, need=2):
     rows = [rng.getrandbits(width + npar) for _ in range(rng.randrange(8, 13))]
     rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
     per_candidate = rng.randrange(1, nclasses - 1)
+    room = [2] * width + [0] * npar + [2]
     return _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
-        fixed=rng.randrange(nclasses), room=[2] * width + [0] * npar + [2],
+        params=None, ncols=ncols, rows=rows, basis=rref.bits, free=_parallel_free(rref.bits, room, ncols),
+        class_masks=class_masks, fixed=rng.randrange(nclasses), room=room,
         r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=need, per_candidate=per_candidate,
     )
+
+
+def _rebased(ctx, basis, **fields):
+    """`ctx` with another basis and its parallel-free basis to match, and `fields` replaced."""
+    return ctx._replace(basis=basis, free=_parallel_free(basis, ctx.room, ctx.ncols), **fields)
 
 
 def _wide_context(rng, per_candidate):
@@ -899,7 +918,7 @@ def _wide_context(rng, per_candidate):
     rows = [(1 << 126) - 1, *ctx.rows]
     rref, _ = mat_rref(MatGFp.from_bitrows(rows, ctx.ncols))
     r = 1 + (per_candidate + 1) * 14
-    return ctx._replace(rows=rows, basis=rref.bits, per_candidate=per_candidate, r=r)
+    return _rebased(ctx, rref.bits, rows=rows, per_candidate=per_candidate, r=r)
 
 
 def test_class_count_hits_on_random_contexts():
@@ -1022,11 +1041,11 @@ def _planted_context(rng, size, need, extra):
     spare = [rng.getrandbits(width + npar) for _ in range(rng.randrange(3))]
     rref, _ = mat_rref(MatGFp.from_bitrows(rows + spare, ncols))
     class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
+    room = [sum(w >> j & 1 for w in planted) for j in range(ncols)]
     ctx = _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits, class_masks=class_masks,
-        fixed=rng.choice([c for c, m in enumerate(class_masks) if m & planted[0]]),
-        room=[sum(w >> j & 1 for w in planted) for j in range(ncols)],
-        r=16, lam=8, need=need, per_candidate=len(first) // size - 1,
+        params=None, ncols=ncols, rows=rows, basis=rref.bits, free=_parallel_free(rref.bits, room, ncols),
+        class_masks=class_masks, fixed=rng.choice([c for c, m in enumerate(class_masks) if m & planted[0]]),
+        room=room, r=16, lam=8, need=need, per_candidate=len(first) // size - 1,
     )
     return ctx, planted
 
@@ -1193,10 +1212,10 @@ def test_combination_rows_at_the_planes_of_ag45():
     assert tuple(window(total - 1, 1)[0]) == tuple(items[15:])
 
 
-def test_scan_one_limb_on_planes(monkeypatch):
+def test_scan_one_limb_on_planes(lift_guard):
     # AG_2(3,2) has 14 search columns, one 64-bit limb; the search is guarded
     # to (4, 3), so the guard is lifted here only to exercise the scan.
-    monkeypatch.setattr(embedding, "_SEARCH_SIZES", (2, 3))
+    lift_guard((2, 3))
     planes, _ = ag_design(3, 2, 2)
     for block in (0, 5, 13):
         ctx = _search_context(planes, block, None)
@@ -1244,7 +1263,7 @@ def _assert_table_matches(ctx):
     return table.words.shape[1]
 
 
-def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_block, monkeypatch):
+def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_block, lift_guard):
     """The table spanned on the parallel-free subcode holds the whole span's words, filtered.
 
     Covers every resolution of AG_2(3,4)'s block-0 substructure, a relabeled
@@ -1258,10 +1277,9 @@ def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_b
     relabeled = relabel(ag34, rng)
     widths.append(_assert_table_matches(_search_context(relabeled, rng.randrange(relabeled.b), None)))
     widths.append(_assert_table_matches(_search_context(e1_found, e1_block, None)))
-    with monkeypatch.context() as m:
-        m.setattr(embedding, "_SEARCH_SIZES", (2, 3))
-        planes, _ = ag_design(3, 2, 2)
-        widths += [_assert_table_matches(_search_context(planes, block, None)) for block in (0, 5, 13)]
+    lift_guard((2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    widths += [_assert_table_matches(_search_context(planes, block, None)) for block in (0, 5, 13)]
     rng = random.Random(31)
     for nclasses, size, npar in [(6, 3, 2), (10, 7, 3), (6, 3, 0), (10, 7, 0)] * 4:
         widths.append(_assert_table_matches(_random_context(rng, nclasses, size, npar)))
@@ -1269,7 +1287,7 @@ def test_scan_table_matches_the_whole_span(ag34, dpp_resolutions, e1_found, e1_b
         ctx = _random_context(rng, nclasses, size, npar)
         width = nclasses * size
         rref, _ = mat_rref(MatGFp.from_bitrows(ctx.rows + [rng.randrange(1, 1 << npar) << width], ctx.ncols))
-        ctx = ctx._replace(basis=rref.bits)
+        ctx = _rebased(ctx, rref.bits)
         assert any(row and not row & ((1 << width) - 1) for row in ctx.basis)
         widths.append(_assert_table_matches(ctx))
     for need in (1, 4):
@@ -1291,16 +1309,77 @@ def test_scan_table_spans_only_the_parallel_free_subcode(ag34, monkeypatch):
     assert max(1 << rows.shape[1] for rows, in spans) == 1 << 12 == 1 << (len(ctx.basis) - par_rank)
 
 
+def test_residual_built_once_per_design_and_block(ag34, ag34_gb, dpp_group, dpp_resolutions, monkeypatch):
+    """The 30 searches of block 0 under the non-good resolutions find the good block once; another block once more."""
+    others = [res for orb in _non_good_orbits(ag34_gb, dpp_group, dpp_resolutions) for res in orb]
+    assert len(others) == 30
+    _clear_fact_caches()
+    calls = _spy(monkeypatch, "good_block")
+    for res in others:
+        assert embedding_search(ag34, 0, resolution=res).candidates_examined == 3876
+    assert calls == [(ag34, 0)]
+    assert embedding_search(ag34, 17).viable_codes == 16
+    assert calls == [(ag34, 0), (ag34, 17)]
+
+
+def _result_fields(result):
+    """Every field of a search result, with the names of its designs."""
+    return (result, [d.name for d in result.designs], [rep.name for _, rep, _ in result.iso_classes])
+
+
+def test_cached_residual_gives_the_cold_results(ag34, ag34_gb, dpp_group, dpp_resolutions, e1):
+    """A search on a cached residual returns what it returns on a fresh one, in either order of resolutions.
+
+    The resolutions are the good one, its classes reversed, and one from each
+    non-good orbit.  Failing calls cache nothing and raise again, and a
+    context's rows and room are the caller's to change.
+    """
+    resolutions = [None, Resolution(ag34_gb.resolution.classes[::-1])]
+    resolutions += _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions)
+    cold = []
+    for res in resolutions:
+        _clear_fact_caches()
+        cold.append(_result_fields(embedding_search(ag34, 0, resolution=res)))
+    assert [len(fields[0].records) for fields in cold] == [16, 16, 0, 0]
+    assert {dg for dg, _, _ in cold[0][0].iso_classes} == {dg for dg, _, _ in cold[1][0].iso_classes}
+    for order in (range(4), range(3, -1, -1)):
+        _clear_fact_caches()
+        for i in order:
+            assert _result_fields(embedding_search(ag34, 0, resolution=resolutions[i])) == cold[i], i
+    assert embedding._residual.cache_info().currsize == 1
+
+    planes, _ = ag_design(3, 2, 2)
+    failing = [(e1, 0, NotGoodBlock), (planes, 0, InfeasibleInstance), (ag34, 84, BadIndex)]
+    for design, block, error in failing:
+        for _ in range(2):
+            with pytest.raises(error):
+                embedding_search(design, block)
+    assert embedding._residual.cache_info().currsize == 1
+
+    ctx = _search_context(ag34, 0, None)
+    want = ctx._replace(rows=list(ctx.rows), room=list(ctx.room))
+    ctx.rows[0] ^= 1
+    ctx.rows.append(0)
+    ctx.room[0] += 1
+    assert _search_context(ag34, 0, None) == want
+    assert _result_fields(embedding_search(ag34, 0)) == cold[0]
+
+
 def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
     dpp = ag34_gb.substructure
     classes = [list(cls) for cls in ag34_gb.resolution.classes]
 
     def internal(match, **fields):
         # good_block hands the search a GoodBlock that breaks one of its premises
+        # (the residual it builds is cached, so it is dropped before and after)
         with monkeypatch.context() as m:
             m.setattr(embedding, "good_block", lambda d, j: dataclasses.replace(ag34_gb, **fields))
-            with pytest.raises(InternalCheckFailed, match=match):
-                _search_context(ag34, 0, None)
+            embedding._residual.cache_clear()
+            try:
+                with pytest.raises(InternalCheckFailed, match=match):
+                    _search_context(ag34, 0, None)
+            finally:
+                embedding._residual.cache_clear()
 
     def rejected(classes):
         with pytest.raises(WrongParameters):
