@@ -255,38 +255,57 @@ class EmbeddingSearchResult:
     records: tuple[CandidateRecord, ...]
 
 
-class _Residual(NamedTuple):
-    """What a search derives from the parent and the good block alone; see `_residual`.
+class _SearchContext(NamedTuple):
+    """The residual matrix under one resolution, and the numbers the search derives from the parent.
 
     substructure  the good block's substructure, its block masks cached
-    resolution    the resolution the good block induces
-    rows, basis   the residual point rows and their RREF basis
+    rows          residual point rows over substructure, parallel and removed columns
+    basis         their RREF basis
     free          a basis of the span words of `basis` that meet no parallel column
-    least_block   the substructure's least block, which the fixed class holds
+    class_masks   the resolution's classes over the substructure columns
+    fixed         the class every candidate covers: the one with `least_block`
+    least_block   the substructure's least block
+    room          per column, the parent's k minus the column sum of `rows`
+    r, lam        a new row's weight and its intersection with every other row
+    need          new rows to add: the parent's k, the points of the good block
+    per_candidate parallel classes a candidate's support covers beside `fixed`
+
+    `_residual` caches one per (design, block), under the resolution the good
+    block induces; a caller's resolution replaces only `class_masks` and
+    `fixed` (see `_search_context`).
     """
 
     params: DesignParams
     substructure: IncidenceStructure
-    resolution: Resolution
     ncols: int
     rows: tuple[int, ...]
     basis: tuple[int, ...]
     free: tuple[int, ...]
-    room: tuple[int, ...]
+    class_masks: tuple[int, ...]
+    fixed: int
     least_block: int
+    room: tuple[int, ...]
+    r: int
+    lam: int
+    need: int
+    per_candidate: int
 
 
 @lru_cache(maxsize=128)
-def _residual(design: IncidenceStructure, block_idx: int) -> _Residual:
-    """The residual at good block `block_idx`, with everything its searches share.
+def _residual(design: IncidenceStructure, block_idx: int) -> _SearchContext:
+    """The search context at good block `block_idx`, under the resolution that block induces.
 
     Cached per (design, block), like `affine_family`, so the searches of one
     residual under each resolution of its substructure build it once.  Only
     ints, tuples and the substructure are kept, and nothing that depends on
     a design's name, since equal designs share a record.  Raises NotGoodBlock,
     InfeasibleInstance outside `_SEARCH_SIZES`, and InternalCheckFailed past
-    128 columns or when the room is not k new rows of weight r; an exception
-    is not cached, so every such call raises again.
+    128 columns, when the room is not k new rows of weight r, or when a
+    point's blocks off the good block are not a union of classes.  The
+    substructure's blocks all have k - mu points, so every resolution
+    `make_resolution` accepts has classes of the induced size, and that last
+    premise holds for all of them or for none.  An exception is not cached,
+    so every such call raises again.
     """
     gb = good_block(design, block_idx)
     if gb is None:
@@ -312,11 +331,19 @@ def _residual(design: IncidenceStructure, block_idx: int) -> _Residual:
     room = _room(params.k, dpp.block_sizes() + [len(design.blocks[j]) for j in gb.parallel])
     if sum(room) != params.k * params.r:
         raise InternalCheckFailed("the residual's column room is not k new rows of weight r")
+    res = gb.resolution
+    # The premise of the scan's class-count identity (see _scan).
+    per_candidate = (params.r - 1) // res.class_size - 1
+    if 1 + (per_candidate + 1) * res.class_size != params.r:
+        raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
     rref, _ = mat_rref(MatGFp.from_bitrows(rows, ncols))
-    return _Residual(
-        params=params, substructure=dpp, resolution=gb.resolution, ncols=ncols,
-        rows=tuple(rows), basis=tuple(rref.bits), free=tuple(_parallel_free(rref.bits, room, ncols)),
-        room=tuple(room), least_block=min(range(dpp.b), key=lambda j: dpp.blocks[j]),
+    least = min(range(dpp.b), key=lambda j: dpp.blocks[j])
+    fixed = next(c for c, cls in enumerate(res.classes) if least in cls)
+    return _SearchContext(
+        params=params, substructure=dpp, ncols=ncols, rows=tuple(rows), basis=tuple(rref.bits),
+        free=tuple(_parallel_free(rref.bits, room, ncols)), class_masks=tuple(res.masks()),
+        fixed=fixed, least_block=least, room=tuple(room),
+        r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
     )
 
 
@@ -330,56 +357,18 @@ def _parallel_free(basis, room, n: int) -> list[int]:
     return _kernel([(row & par, row) for row in basis], n)
 
 
-class _SearchContext(NamedTuple):
-    """The residual matrix and the numbers the search derives from the parent.
-
-    rows          residual point rows over substructure, parallel and removed columns
-    basis         their RREF basis
-    free          a basis of the span words of `basis` that meet no parallel column
-    class_masks   the resolution's classes over the substructure columns
-    fixed         the class every candidate covers: the one with the least block
-    room          per column, the parent's k minus the column sum of `rows`
-    r, lam        a new row's weight and its intersection with every other row
-    need          new rows to add: the parent's k, the points of the good block
-    per_candidate parallel classes a candidate's support covers beside `fixed`
-    """
-
-    params: DesignParams
-    ncols: int
-    rows: list[int]
-    basis: tuple[int, ...]
-    free: tuple[int, ...]
-    class_masks: list[int]
-    fixed: int
-    room: list[int]
-    r: int
-    lam: int
-    need: int
-    per_candidate: int
-
-
 def _search_context(
     design: IncidenceStructure, block_idx: int, resolution: Resolution | None
 ) -> _SearchContext:
-    """The search's context under `resolution`: the cached `_residual` and the resolution's classes."""
-    rec = _residual(design, block_idx)
-    res = rec.resolution
-    if resolution is not None:
-        # Raises unless it resolves the substructure; the caller's class
-        # order stays, since candidate indices follow it.
-        make_resolution(rec.substructure, resolution.classes)
-        res = resolution
-    params = rec.params
-    # The premise of the scan's class-count identity (see _scan).
-    per_candidate = (params.r - 1) // res.class_size - 1
-    if 1 + (per_candidate + 1) * res.class_size != params.r:
-        raise InternalCheckFailed("a point's blocks off the good block are not a union of classes")
-    fixed = next(c for c, cls in enumerate(res.classes) if rec.least_block in cls)
-    return _SearchContext(
-        params=params, ncols=rec.ncols, rows=list(rec.rows), basis=rec.basis, free=rec.free,
-        class_masks=res.masks(), fixed=fixed, room=list(rec.room),
-        r=params.r, lam=params.lam, need=params.k, per_candidate=per_candidate,
-    )
+    """The search's context under `resolution`: the cached `_residual`, its classes replaced by a caller's."""
+    ctx = _residual(design, block_idx)
+    if resolution is None:
+        return ctx
+    # Raises unless it resolves the substructure; the caller's class
+    # order stays, since candidate indices follow it.
+    make_resolution(ctx.substructure, resolution.classes)
+    fixed = next(c for c, cls in enumerate(resolution.classes) if ctx.least_block in cls)
+    return ctx._replace(class_masks=tuple(resolution.masks()), fixed=fixed)
 
 
 def _room(k: int, sizes: list[int]) -> list[int]:
@@ -654,8 +643,10 @@ def embedding_search(
 
     `resolution` defaults to the one the good block induces.  One passed in
     must be a resolution of the good block's substructure (its blocks in
-    GoodBlock.substructure order), else WrongParameters; its class order
-    fixes the candidate indices.
+    GoodBlock.substructure order): BadIndex for a block index past the
+    substructure's, else WrongParameters unless its classes are parallel
+    classes partitioning the substructure's blocks.  Its class order fixes
+    the candidate indices.
     """
     _single_process(workers)
     ctx = _search_context(design, block_idx, resolution)

@@ -480,13 +480,13 @@ def test_search_rows_are_the_residual_rows(ag34, e1, e2):
         order = [j for j in range(design.b) if j != block and j not in parallel] + list(parallel)
         res_masks = residual(design, block, keep_empty=True).point_masks()
         want = [sum(1 << c for c, j in enumerate(order) if m >> (j - (j > block)) & 1) for m in res_masks]
-        assert _search_context(design, block, None).rows == want, (design.name, block)
+        assert _search_context(design, block, None).rows == tuple(want), (design.name, block)
 
 
 def test_room_is_k_minus_column_sums(monkeypatch, ag34, e1_found, e1_block, e1, e2):
     for design, block in ((ag34, 0), (ag34, 5), (ag34, 40), (ag34, 83), (e1_found, e1_block)):
         ctx = _search_context(design, block, None)
-        assert ctx.room == _bit_count_room(ctx.rows, ctx.ncols, ctx.need)
+        assert ctx.room == tuple(_bit_count_room(ctx.rows, ctx.ncols, ctx.need))
     fills = _spy(monkeypatch, "_fill")
     for design in (ag34, e1, e2):
         kp = sym_embedding_search(design).target_params[1]
@@ -895,8 +895,9 @@ def _random_context(rng, nclasses, size, npar, need=2):
     per_candidate = rng.randrange(1, nclasses - 1)
     room = [2] * width + [0] * npar + [2]
     return _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits, free=_parallel_free(rref.bits, room, ncols),
-        class_masks=class_masks, fixed=rng.randrange(nclasses), room=room,
+        params=None, substructure=None, ncols=ncols, rows=rows, basis=rref.bits,
+        free=_parallel_free(rref.bits, room, ncols), class_masks=class_masks, fixed=rng.randrange(nclasses),
+        least_block=None, room=room,
         r=1 + (per_candidate + 1) * size, lam=rng.randrange(4), need=need, per_candidate=per_candidate,
     )
 
@@ -1043,8 +1044,9 @@ def _planted_context(rng, size, need, extra):
     class_masks = [sum(1 << j for j in cols[c * size : (c + 1) * size]) for c in range(nclasses)]
     room = [sum(w >> j & 1 for w in planted) for j in range(ncols)]
     ctx = _SearchContext(
-        params=None, ncols=ncols, rows=rows, basis=rref.bits, free=_parallel_free(rref.bits, room, ncols),
-        class_masks=class_masks, fixed=rng.choice([c for c, m in enumerate(class_masks) if m & planted[0]]),
+        params=None, substructure=None, ncols=ncols, rows=rows, basis=rref.bits,
+        free=_parallel_free(rref.bits, room, ncols), class_masks=class_masks,
+        fixed=rng.choice([c for c, m in enumerate(class_masks) if m & planted[0]]), least_block=None,
         room=room, r=16, lam=8, need=need, per_candidate=len(first) // size - 1,
     )
     return ctx, planted
@@ -1331,8 +1333,9 @@ def test_cached_residual_gives_the_cold_results(ag34, ag34_gb, dpp_group, dpp_re
     """A search on a cached residual returns what it returns on a fresh one, in either order of resolutions.
 
     The resolutions are the good one, its classes reversed, and one from each
-    non-good orbit.  Failing calls cache nothing and raise again, and a
-    context's rows and room are the caller's to change.
+    non-good orbit.  Failing calls cache nothing and raise again.  The cached
+    context holds tuples, so no caller can change it, and a caller's
+    resolution replaces only its classes.
     """
     resolutions = [None, Resolution(ag34_gb.resolution.classes[::-1])]
     resolutions += _non_good_resolutions(ag34_gb, dpp_group, dpp_resolutions)
@@ -1357,11 +1360,10 @@ def test_cached_residual_gives_the_cold_results(ag34, ag34_gb, dpp_group, dpp_re
     assert embedding._residual.cache_info().currsize == 1
 
     ctx = _search_context(ag34, 0, None)
-    want = ctx._replace(rows=list(ctx.rows), room=list(ctx.room))
-    ctx.rows[0] ^= 1
-    ctx.rows.append(0)
-    ctx.room[0] += 1
-    assert _search_context(ag34, 0, None) == want
+    assert all(type(field) is tuple for field in (ctx.rows, ctx.room, ctx.class_masks))
+    assert _search_context(ag34, 0, ag34_gb.resolution) == ctx
+    other = _search_context(ag34, 0, resolutions[2])
+    assert [f for f in ctx._fields if getattr(ctx, f) != getattr(other, f)] == ["class_masks", "fixed"]
     assert _result_fields(embedding_search(ag34, 0)) == cold[0]
 
 
@@ -1381,8 +1383,8 @@ def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
             finally:
                 embedding._residual.cache_clear()
 
-    def rejected(classes):
-        with pytest.raises(WrongParameters):
+    def rejected(classes, error=WrongParameters):
+        with pytest.raises(error):
             embedding_search(ag34, 0, resolution=Resolution(tuple(tuple(c) for c in classes)))
 
     # 1 + (per_candidate + 1) * class_size == r fails for classes of 3 blocks
@@ -1395,10 +1397,12 @@ def test_search_premises_checked(ag34, ag34_gb, monkeypatch):
     rejected([classes[0], [*classes[1][:-1], dpp.b], *classes[2:]])
     rejected([])
     rejected(classes[1:])
+    # ... and name no block past them: one more class partitions 0..83, yet the blocks end at 79
+    rejected([*classes, range(dpp.b, dpp.b + len(classes[0]))], BadIndex)
     # ... into parallel classes
     a, b = classes[0], classes[1]
     rejected([[b[0], *a[1:]], [a[0], *b[1:]], *classes[2:]])
     # the unchanged resolution passes every check, and a reordered one keeps its order
     assert _search_context(ag34, 0, ag34_gb.resolution).per_candidate == 4
     backwards = Resolution(ag34_gb.resolution.classes[::-1])
-    assert _search_context(ag34, 0, backwards).class_masks == ag34_gb.resolution.masks()[::-1]
+    assert _search_context(ag34, 0, backwards).class_masks == tuple(ag34_gb.resolution.masks()[::-1])
