@@ -33,6 +33,7 @@ from .codes import (
 )
 from .designs import (
     IncidenceStructure,
+    affine_family,
     derived,
     emit_des,
     good_block,
@@ -142,6 +143,8 @@ def _cmd_resolutions(args) -> int:
 
 def _cmd_goodblocks(args) -> int:
     design = load_design(args.des)
+    # WrongParameters outside the family, also for a design with no block to try
+    affine_family(design)
     for j in range(design.b):
         if good_block(design, j) is not None:
             print(j)

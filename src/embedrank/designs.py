@@ -232,6 +232,8 @@ def verify_tdesign(design: IncidenceStructure, t: int):
 
 
 def _check_block_index(design: IncidenceStructure, idx: int) -> None:
+    if not design.b:
+        raise BadIndex(f"block index {idx}: the design has no blocks")
     if not 0 <= idx < design.b:
         raise BadIndex(f"block index {idx} outside 0..{design.b - 1}")
 

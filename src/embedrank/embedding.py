@@ -442,7 +442,7 @@ def _assemble(old_rows: list[int], new_rows, ncols: int, tag: str) -> IncidenceS
 
 
 # Candidates per chunk of the scan; bounds the (candidates x words) uint8
-# sums of `_hit_counts`.
+# sums `_hit_counts` writes, which `_scan` allocates once.
 _SCAN_CHUNK = 1024
 
 
@@ -499,34 +499,60 @@ def _scan_table(ctx: _SearchContext) -> _ScanTable:
     return _ScanTable(words[:, ok], counts[:, ok].astype(np.uint8), target[ok].astype(np.uint8))
 
 
-def _hit_counts(table: _ScanTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hits of each candidate whose other classes are the rows of `idx`: their number, and the sums.
+def _half_sums(table: _ScanTable, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each half row's uint8 count sums: `low`, over the left rows less the target, and `high`, over the right rows.
 
-    A candidate's row of uint8 sums starts at 0 - target and adds the
-    counts of its classes, so word i is a hit exactly when entry i is 0
-    (see `_scan`).  The zeros are summed in int32, which numpy reduces
-    faster than the intp of `np.count_nonzero`.
+    low[p] is the sum over the classes c of left[p] of counts[c], minus the
+    target, and high[q] the sum over those of right[q], both modulo 256, one
+    entry per table word; a candidate of left row p and right row q then sums
+    to low[p] + high[q] (see `_hit_counts`).  Halves of one size are one
+    table, whose sums are taken once.  The two arrays hold C(m, k // 2) + C(m,
+    k - k // 2) rows of one byte per word, for k classes a candidate chooses
+    among m: 45 or 70 KB at AG_2(3,4) block 0 (C(19, 2) rows each, of 131 or
+    203 words), and 50 MB at AG_4(5,2) (C(29, 7) rows each, of 16 words).
     """
-    sums = np.zeros((len(idx), table.counts.shape[1]), dtype=np.uint8)
-    sums -= table.target
-    for col in idx.T:
-        sums += np.take(table.counts, col, axis=0)
-    return (sums == 0).sum(axis=1, dtype=np.int32), sums
+
+    def sums(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(rows), table.counts.shape[1]), dtype=np.uint8)
+        for col in rows.T:
+            out += np.take(table.counts, col, axis=0)
+        return out
+
+    high = sums(right)
+    low = (high if left.shape == right.shape else sums(left)) - table.target
+    return low, high
 
 
-def _combination_rows(items: list[int], k: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
-    """The number of k-subsets of `items`, and `window(first, n)`: those of ranks first .. first + n - 1.
+def _hit_counts(low: np.ndarray, high: np.ndarray, li: np.ndarray, ri: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The number of hits of each candidate, its halves left row li[i] and right row ri[i]; `out` gets the sums.
 
-    Ranks follow `itertools.combinations(items, k)`, and a window is an
-    (n, k) int8 array, one subset per row.  A subset is a left row, its
-    first k // 2 items, then a right row, the others.  Both are rows of a
-    table of all subsets of their size, built once in the same order.  The
-    subsets with one left row, whose last item is at position x, are
-    consecutive, and their right rows are the subsets of the items past x:
-    the last C(m - 1 - x, k - k // 2) rows of the right table, in order.  So
-    a rank's left row is the first whose cumulative block size exceeds it,
-    and its right row lies as far before the right table's end as the rank
-    lies before that block's end.
+    Row i of `out` is low[li[i]] + high[ri[i]] in uint8: the counts of the
+    candidate's classes summed, less the target, modulo 256, so word j is a
+    hit exactly when entry j is 0 (see `_scan`).  One take and one add per
+    candidate, whatever its number of classes.  The zeros are summed in int32,
+    which numpy reduces faster than the intp of `np.count_nonzero`.
+    """
+    np.take(low, li, axis=0, out=out)
+    out += np.take(high, ri, axis=0)
+    return (out == 0).sum(axis=1, dtype=np.int32)
+
+
+def _combination_rows(
+    items: list[int], k: int
+) -> tuple[int, np.ndarray, np.ndarray, Callable[[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The k-subsets of `items` as pairs of half rows: their number, the `left` and `right` tables, and `rows`.
+
+    Ranks follow `itertools.combinations(items, k)`.  A subset is a left row,
+    its first k // 2 items, then a right row, the others.  `left` and `right`
+    are int8 tables of all subsets of their size, one per row, built once in
+    the same order, so halves of one size give equal tables.  `rows(first,
+    n)` gives the left and the right row indices of the subsets of ranks
+    first .. first + n - 1.  The subsets with one left row, whose last item is
+    at position x, are consecutive, and their right rows are the subsets of
+    the items past x: the last C(m - 1 - x, k - k // 2) rows of the right
+    table, in order.  So a rank's left row is the first whose cumulative block
+    size exceeds it, and its right row lies as far before the right table's
+    end as the rank lies before that block's end.
     """
     m, a = len(items), k // 2
 
@@ -535,21 +561,21 @@ def _combination_rows(items: list[int], k: int) -> tuple[int, Callable[[int, int
         flat = itertools.chain.from_iterable(itertools.combinations(range(m), size))
         return np.fromiter(flat, dtype=np.int8, count=n * size).reshape(n, size)
 
-    left, right = subsets(a), subsets(k - a)
+    left = subsets(a)
+    right = left if k - a == a else subsets(k - a)
     last = left[:, -1].astype(np.intp) if a else np.full(len(left), -1)
     tail = np.array([comb(m - 1 - x, k - a) for x in range(-1, m)], dtype=np.int64)
     sizes = tail[last + 1]
     ends = np.cumsum(sizes)
     shift = len(right) - ends
     values = np.array(items, dtype=np.int8)
-    left, right = values[left], values[right]
 
-    def window(first: int, n: int) -> np.ndarray:
+    def rows(first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         ranks = np.arange(first, first + n)
-        i = np.searchsorted(ends, ranks, side="right")
-        return np.concatenate((left[i], right[ranks + shift[i]]), axis=1)
+        li = np.searchsorted(ends, ranks, side="right")
+        return li, ranks + shift[li]
 
-    return int(sizes.sum()), window
+    return int(sizes.sum()), values[left], values[right], rows
 
 
 def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
@@ -562,27 +588,30 @@ def _scan(ctx: _SearchContext, table: _ScanTable) -> tuple[int, list]:
     column and the classes are disjoint, so |s ^ y| = |s| + r - 2 * (sum over
     y's classes c of |s & c|): s ^ y weighs r, a hit, exactly when the counts
     of y's other classes on s sum to the table's target.  `_hit_counts`
-    subtracts the target from that sum modulo 256, in uint8.  The classes
+    takes that sum less the target modulo 256, in uint8.  The classes
     are disjoint, so the sum is at most |s| < ncols <= 128 (the search
     refuses more columns), and so is the target: the difference is 0
-    modulo 256 exactly at the hits.
+    modulo 256 exactly at the hits, however the sum is split into halves.
 
     Candidates come in `_SCAN_CHUNK` windows of `_combination_rows`, in the
-    order of `itertools.combinations` over the non-fixed classes.  A
+    order of `itertools.combinations` over the non-fixed classes; each is
+    the sum of one row of each `_half_sums` table, built once per scan.  A
     candidate's hits, as Python ints in table order, are its words for
     `_fill`, which keeps those meeting every old row in lambda; it is viable
     when `_fill` finds a completion among them.  The lambda test only
     removes hits, so a candidate with fewer than `need` hits cannot be
-    viable: only the others have their hits built.
+    viable: only the others have their classes and hits built.
     """
     rest = [c for c in range(len(ctx.class_masks)) if c != ctx.fixed]
-    total, window = _combination_rows(rest, ctx.per_candidate)
+    total, left, right, rows = _combination_rows(rest, ctx.per_candidate)
+    low, high = _half_sums(table, left, right)
+    sums = np.empty((min(_SCAN_CHUNK, total), low.shape[1]), dtype=np.uint8)
     found = []
     for first in range(0, total, _SCAN_CHUNK):
-        idx = window(first, min(_SCAN_CHUNK, total - first))
-        counts, sums = _hit_counts(table, idx)
+        li, ri = rows(first, min(_SCAN_CHUNK, total - first))
+        counts = _hit_counts(low, high, li, ri, sums[: len(li)])
         for i in np.flatnonzero(counts >= ctx.need):
-            classes = (ctx.fixed, *map(int, idx[i]))
+            classes = (ctx.fixed, *left[li[i]].tolist(), *right[ri[i]].tolist())
             y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in classes)
             hits = [s ^ y for s in _words(table.words[:, sums[i] == 0])]
             solutions = _fill(hits, ctx.rows, ctx.need, ctx.lam, ctx.room)

@@ -10,8 +10,9 @@ expectation:
 
 An entry may add a `why`.  Argv tokens that name one of the manifest's
 `inputs` (a `gen` argv, written with `-o` into a temporary directory before
-any entry runs) or one of its `bundled` designs (read from the package data)
-are replaced by that file's path.
+any entry runs), one of its `texts` (a file's exact text, written there too,
+for designs no `gen` makes) or one of its `bundled` designs (read from the
+package data) are replaced by that file's path.
 
 The module imports only the standard library, so it runs against an install
 without the test extra.  `tests/test_cli.py` runs every entry in-process
@@ -64,6 +65,10 @@ def make_inputs(manifest: dict, invoke: Invoke, workdir: Path, data_dir: Path) -
         if code != 0:
             raise RuntimeError(f"input {name} ({' '.join(argv)}) exited {code}: {err.strip()}")
         paths[name] = path
+    for name, text in manifest["texts"].items():
+        path = Path(workdir) / name
+        path.write_text(text)
+        paths[name] = str(path)
     return paths
 
 

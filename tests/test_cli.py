@@ -76,6 +76,18 @@ def test_computation_error_json(k4_file, capsys):
     assert err["error"] == "WrongParameters"
 
 
+@pytest.mark.parametrize("argv", [["embeddable", "0"], ["residual", "0"], ["embed-search", "0"], ["embeddable", "-1"]])
+def test_block_of_a_design_with_no_blocks(tmp_path, capsys, argv):
+    """A block index into a design with no blocks names that, not an empty range "0..-1"."""
+    path = tmp_path / "empty.des"
+    path.write_text("0 0\n")
+    cmd, block = argv
+    assert run([cmd, str(path), block]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "BadIndex", "message": f"block index {block}: the design has no blocks"}
+
+
 MALFORMED_DESIGNS = [
     ("header.des", b"x 2\n0 1\n1 2\n", "WrongParameters"),
     ("letter.des", b"3 1\n0 z\n", "WrongParameters"),
@@ -430,7 +442,7 @@ def test_pinned_output(pinned_paths, entry):
 
 def _manifest_file(tmp_path, entries) -> Path:
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"inputs": {}, "bundled": [], "entries": entries}))
+    path.write_text(json.dumps({"inputs": {}, "texts": {}, "bundled": [], "entries": entries}))
     return path
 
 

@@ -44,6 +44,7 @@ from embedrank.embedding import (
     _combination_rows,
     _completions,
     _fill,
+    _half_sums,
     _hit_counts,
     _parallel_free,
     _popcount,
@@ -73,7 +74,7 @@ from embedrank.errors import (
 )
 from embedrank.expected import E1_DIGEST, E2_DIGEST, PU_WEIGHT32_BY_ORBIT, THM5_REQUIRED_43
 from embedrank.geometry import ag_design, pg_design
-from embedrank.iso import are_isomorphic, canonical_cert, resolution_orbits
+from embedrank.iso import are_isomorphic, automorphism_group, canonical_cert, orbits, resolution_orbits
 from embedrank.linalg import MatGFp, mat_rank, mat_rref
 
 
@@ -862,15 +863,28 @@ def test_class_count_hits_are_the_weight_r_words(ag34, ag34_gb, dpp_group, dpp_r
 
 
 def _candidate_rows(ctx):
-    """Every candidate's non-fixed classes, one row each, as the scan passes them."""
+    """Every candidate's non-fixed classes, one row each, in rank order."""
     return np.array(_combos(ctx), dtype=np.int8).reshape(-1, ctx.per_candidate)
+
+
+def _halves(ctx):
+    """`_combination_rows` over the context's non-fixed classes, as `_scan` builds it."""
+    return _combination_rows([c for c in range(len(ctx.class_masks)) if c != ctx.fixed], ctx.per_candidate)
+
+
+def _candidate_sums(ctx, table):
+    """Every candidate's non-fixed classes, hit count and uint8 sums, from the scan's helpers on one window of all ranks."""
+    total, left, right, rows = _halves(ctx)
+    li, ri = rows(0, total)
+    sums = np.empty((total, table.words.shape[1]), dtype=np.uint8)
+    counts = _hit_counts(*_half_sums(table, left, right), li, ri, sums)
+    return np.concatenate((left[li], right[ri]), axis=1), counts, sums
 
 
 def _table_hits(ctx):
     """(candidate, word) for every hit of every candidate, read off the uint8 sums as s ^ y, without the count gate."""
-    idx = _candidate_rows(ctx)
     table = _scan_table(ctx)
-    _, sums = _hit_counts(table, idx)
+    idx, _, sums = _candidate_sums(ctx, table)
     out = []
     for i, row in enumerate(idx.tolist()):
         y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in (ctx.fixed, *row))
@@ -948,14 +962,26 @@ def test_class_count_hits_on_random_contexts():
     assert total > 100
 
 
+def _choosing(ctx, per_candidate):
+    """A random context whose candidates take `per_candidate` non-fixed classes, its r to match."""
+    size = ctx.class_masks[0].bit_count()
+    return ctx._replace(per_candidate=per_candidate, r=1 + (per_candidate + 1) * size)
+
+
 def _assert_hit_counts(ctx, table):
     """`_hit_counts` on every candidate, against the exact count sums; returns its counts and their largest sum.
 
     The uint8 sums must be the count sums minus the target, modulo 256, and
-    the counts the number of count sums equal to the target.
+    the counts the number of count sums equal to the target.  Each half
+    table's sums are its rows' count sums, the left ones less the target.
     """
-    idx = _candidate_rows(ctx)
-    counts, sums = _hit_counts(table, idx)
+    _, left, right, _ = _halves(ctx)
+    low, high = _half_sums(table, left, right)
+    assert (low.dtype, high.dtype) == (np.uint8, np.uint8)
+    assert np.array_equal(low, (table.counts[left].sum(axis=1, dtype=np.int16) - table.target) % 256)
+    assert np.array_equal(high, table.counts[right].sum(axis=1, dtype=np.int16) % 256)
+    idx, counts, sums = _candidate_sums(ctx, table)
+    assert np.array_equal(idx, _candidate_rows(ctx))
     exact = table.counts[idx].sum(axis=1, dtype=np.int16)
     assert (sums.dtype, sums.shape) == (np.uint8, (len(idx), table.words.shape[1]))
     assert np.array_equal(sums, (exact - table.target) % 256)
@@ -967,16 +993,20 @@ def test_hit_counts_match_the_hit_matrix(ag34, dpp_resolutions):
     """The uint8 sums are the exact count sums minus the target, modulo 256; the counts are their zeros.
 
     Covers every resolution of AG_2(3,4)'s block-0 substructure, the good one
-    among them, and the random, planted and wide (128-column) contexts.  A
-    table with no word has no sums, and every count is 0.  Which sums are
-    zero is checked against the reference by the hit tests, which read the
-    hits off the same sums.
+    among them, and the random, planted and wide (128-column) contexts.  The
+    frozen instance's halves are one table of pairs; random contexts taking
+    1, 2 and 3 classes add an empty left half and halves of two sizes, and
+    the wide context at 7 halves of 3 and 4.  A table with no word has no
+    sums, and every count is 0.  Which sums are zero is checked against the
+    reference by the hit tests, which read the hits off the same sums.
     """
     contexts = [_search_context(ag34, 0, res) for res in dpp_resolutions]
     rng = random.Random(29)
     contexts += [_random_context(rng, nclasses, size, npar) for nclasses, size, npar in [(6, 3, 2), (10, 7, 3)] * 4]
     contexts += [_planted_context(rng, size, need, extra)[0] for need in (1, 4) for size, extra in [(3, 0), (5, 50)]]
     contexts += [_wide_context(rng, per_candidate) for per_candidate in (4, 7) * 2]
+    contexts += [_choosing(_random_context(rng, 10, 7, 3), per_candidate) for per_candidate in (1, 2, 3)]
+    assert {1, 2, 3, 4, 7} <= {ctx.per_candidate for ctx in contexts}
     gated, widest = 0, 0
     for ctx in contexts:
         counts, top = _assert_hit_counts(ctx, _scan_table(ctx))
@@ -1143,8 +1173,11 @@ def _skip_one(m):
     return [c for c in range(m + 1) if c != m // 2]
 
 
-def _assert_window(window, first, want):
-    got = window(first, len(want))
+def _assert_window(halves, first, want):
+    """The subsets of ranks first .. first + len(want) - 1, each its left then its right half row, are `want`."""
+    _, left, right, rows = halves
+    li, ri = rows(first, len(want))
+    got = np.concatenate((left[li], right[ri]), axis=1)
     assert (got.dtype, got.shape) == (np.int8, (len(want), len(want[0])))
     assert got.tolist() == [list(row) for row in want]
 
@@ -1153,21 +1186,26 @@ def _assert_window(window, first, want):
 def test_combination_rows_are_the_combinations(m, k):
     """`_combination_rows` gives `itertools.combinations` by rank: values, order and int8, window by window.
 
-    Every `_SCAN_CHUNK` window is checked, the last partial one included, and
+    The half tables are the subsets of k // 2 and of k - k // 2 items, in
+    order: one empty row at k = 1, tables of two sizes at odd k.  Every
+    `_SCAN_CHUNK` window is checked, the last partial one included, and
     every one-rank window.  Where there are more than `_SCAN_CHUNK`
     candidates, some window holds subsets of more than one left row.
     """
     items = _skip_one(m)
     want = list(itertools.combinations(items, k))
-    total, window = _combination_rows(items, k)
+    halves = total, left, right, _ = _combination_rows(items, k)
     assert total == len(want) == comb(m, k)
+    for table, size in ((left, k // 2), (right, k - k // 2)):
+        assert table.dtype == np.int8
+        assert table.tolist() == [list(row) for row in itertools.combinations(items, size)]
     for first in range(0, total, _SCAN_CHUNK):
         rows = want[first : first + _SCAN_CHUNK]
-        _assert_window(window, first, rows)
+        _assert_window(halves, first, rows)
         if total > _SCAN_CHUNK:
             assert len({row[: k // 2] for row in rows}) > 1
     for first, row in enumerate(want):
-        _assert_window(window, first, [row])
+        _assert_window(halves, first, [row])
     # the reference of the C(29,14) test
     assert [tuple(items[x] for x in _unrank(items, k, rank)) for rank in range(total)] == want
 
@@ -1199,22 +1237,63 @@ def _successors(items, pos, n):
 
 
 def test_combination_rows_at_the_planes_of_ag45():
-    """At C(29,14), the first, a middle and the last window, against an unranked reference; no full enumeration."""
+    """At C(29,14), the first, a middle and the last window, against an unranked reference; no full enumeration.
+
+    Each window's uint8 sums on a small random table, taken from the two
+    C(29,7)-row half tables, are checked against its reference subsets'
+    per-class count sums.
+    """
     items = _skip_one(29)
-    total, window = _combination_rows(items, 14)
+    halves = total, left, right, rows = _combination_rows(items, 14)
     assert total == comb(29, 14) == 77558760
     first = list(itertools.islice(itertools.combinations(items, 14), _SCAN_CHUNK))
     assert _successors(items, _unrank(items, 14, 0), _SCAN_CHUNK) == first
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 2, size=(30, 8), dtype=np.uint8)
+    table = _ScanTable(np.zeros((1, 8), dtype=np.uint64), counts, rng.integers(5, 10, size=8, dtype=np.uint8))
+    low, high = _half_sums(table, left, right)
+    assert len(low) == len(high) == comb(29, 7)
+    hits = 0
     last = total - total % _SCAN_CHUNK
     for start in (0, (total // 2 // _SCAN_CHUNK) * _SCAN_CHUNK, last):
         n = min(_SCAN_CHUNK, total - start)
         want = _successors(items, _unrank(items, 14, start), n)
         assert len(want) == n
-        _assert_window(window, start, want)
-    assert tuple(window(total - 1, 1)[0]) == tuple(items[15:])
+        _assert_window(halves, start, want)
+        sums = np.empty((n, 8), dtype=np.uint8)
+        got = _hit_counts(low, high, *rows(start, n), sums)
+        exact = counts[np.array(want)].sum(axis=1, dtype=np.int16)
+        assert np.array_equal(sums, (exact - table.target) % 256)
+        assert np.array_equal(got, np.count_nonzero(exact == table.target, axis=1))
+        hits += got.sum()
+    assert hits
+    _assert_window(halves, total - 1, [tuple(items[15:])])
 
 
-def test_scan_one_limb_on_planes(lift_guard):
+def _assert_scan_in_order(ctx):
+    """`_scan`'s result, order included: the reference's viable candidates in rank order, and their `_fill` choices.
+
+    Each candidate's choices are `_fill`'s on its weight-r table words in
+    table order, the order the scan hands them over in.  Returns the result.
+    """
+    table = _scan_table(ctx)
+    want = []
+    for idx, classes, _ in _reference_scan(_reference_args(ctx)):
+        y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in classes)
+        hits = [s ^ y for s in _words(table.words) if (s ^ y).bit_count() == ctx.r]
+        want.append((idx, classes, _fill(hits, ctx.rows, ctx.need, ctx.lam, ctx.room)))
+    found = _scan(ctx, table)[1]
+    assert found == want
+    return found
+
+
+def test_scan_one_limb_on_planes(ag34, lift_guard):
+    """The scan's records in the reference's order, on AG_2(3,2), AG_2(3,4)'s good resolution and planted contexts."""
+    assert len(_assert_scan_in_order(_search_context(ag34, 0, None))) == 16
+    rng = random.Random(23)
+    for need, size, extra in [(1, 3, 0), (2, 5, 2), (3, 3, 40), (4, 5, 50)]:
+        ctx, planted = _planted_context(rng, size, need, extra)
+        assert any(set(sol) == set(planted) for _, _, sols in _assert_scan_in_order(ctx) for sol in sols)
     # AG_2(3,2) has 14 search columns, one 64-bit limb; the search is guarded
     # to (4, 3), so the guard is lifted here only to exercise the scan.
     lift_guard((2, 3))
@@ -1223,12 +1302,132 @@ def test_scan_one_limb_on_planes(lift_guard):
         ctx = _search_context(planes, block, None)
         assert ctx.ncols <= 64 and len(_span_table(_limbs(ctx.basis, ctx.ncols))) == 1
         assert _assert_scan_matches(planes, block)
+        _assert_scan_in_order(ctx)
     result = embedding_search(planes, 0)
     ctx = _search_context(planes, 0, None)
     assert result.candidates_examined == comb(len(ctx.class_masks) - 1, ctx.per_candidate)
     assert [rec.candidate_index for rec in result.records] == [
         idx for idx, _, _ in _reference_scan(_reference_args(ctx))
     ]
+
+
+def _oracle_rows(ctx):
+    """Every row of weight r with the last coordinate set that meets each old row in lambda, by backtracking over columns.
+
+    A column with no room takes no new row, so no row of a completion meets one.
+    """
+    last = ctx.ncols - 1
+    cols = [j for j in range(last) if ctx.room[j]]
+    old = [[row >> j & 1 for j in cols] for row in ctx.rows]
+    # ahead[i][t]: the columns from cols[t] on that old row i meets
+    ahead = [list(itertools.accumulate(bits[::-1], initial=0))[::-1] for bits in old]
+    meets = [0] * len(old)
+    out = []
+
+    def place(t, word, weight):
+        if weight == ctx.r - 1:
+            if all(m == ctx.lam for m in meets):
+                out.append(word | 1 << last)
+            return
+        if len(cols) - t < ctx.r - 1 - weight or any(m + a[t] < ctx.lam for m, a in zip(meets, ahead)):
+            return
+        met = [i for i, bits in enumerate(old) if bits[t]]
+        if all(meets[i] < ctx.lam for i in met):
+            for i in met:
+                meets[i] += 1
+            place(t + 1, word | 1 << cols[t], weight + 1)
+            for i in met:
+                meets[i] -= 1
+        place(t + 1, word, weight)
+
+    place(0, 0, 0)
+    return out
+
+
+def _completion_oracle(ctx):
+    """Every completion of the residual rows, as its set of new rows, found without the residual's code.
+
+    Backtracks over `need`-sets of `_oracle_rows` that meet pairwise in
+    lambda and fill every column's room, and keeps those whose 2-rank is one
+    above the residual's.
+    """
+    rows = _oracle_rows(ctx)
+    base = mat_rank(MatGFp.from_bitrows(list(ctx.rows), ctx.ncols))
+    room = list(ctx.room)
+    chosen, out = [], set()
+
+    def place(start):
+        if len(chosen) == ctx.need:
+            if not any(room) and mat_rank(MatGFp.from_bitrows([*ctx.rows, *chosen], ctx.ncols)) == base + 1:
+                out.add(frozenset(chosen))
+            return
+        for t in range(start, len(rows)):
+            w = rows[t]
+            cols = [j for j in range(ctx.ncols) if w >> j & 1]
+            if any((w & c).bit_count() != ctx.lam for c in chosen) or not all(room[j] for j in cols):
+                continue
+            for j in cols:
+                room[j] -= 1
+            chosen.append(w)
+            place(t + 1)
+            chosen.pop()
+            for j in cols:
+                room[j] += 1
+
+    place(0)
+    return out
+
+
+def _from_rows(rows, ncols):
+    """The structure whose point i lies on block j when bit j of rows[i] is set."""
+    return IncidenceStructure(len(rows), [[i for i, row in enumerate(rows) if row >> j & 1] for j in range(ncols)])
+
+
+def test_search_equals_the_completion_oracle_on_planes(monkeypatch, lift_guard):
+    """At each good-block orbit of AG_2(3,2), the oracle's completions are the searches' over every resolution.
+
+    The oracle knows no class or candidate.  Each completion must be a
+    2-design with the parent's parameters whose span holds a candidate of
+    some resolution of the substructure: the fixed class of that resolution
+    plus `per_candidate` others, so its new rows all come from that one
+    candidate (the scan's premise).  The search under a resolution finds
+    exactly the completions holding one of its candidates, and counts each
+    class once per candidate with a completion in it.  Each of the 8
+    resolutions finds 2 of the 16 completions, each held by 2 of its
+    candidates, so only all resolutions together find every completion.
+    """
+    lift_guard((2, 3))
+    planes, _ = ag_design(3, 2, 2)
+    blocks = [next(j for j in orb if good_block(planes, j)) for orb in orbits(automorphism_group(planes), "blocks")]
+    assert blocks == [0]
+    for block in blocks:
+        oracle = _completion_oracle(_search_context(planes, block, None))
+        assert len(oracle) == 16
+        found = set()
+        for res in designs.resolutions(good_block(planes, block).substructure):
+            ctx = _search_context(planes, block, res)
+            spans = {}
+            for sol in oracle:
+                rows = [*ctx.rows, *sol]
+                assert verify_tdesign(_from_rows(rows, ctx.ncols), 2) == ctx.params
+                rank = mat_rank(MatGFp.from_bitrows(rows, ctx.ncols))
+                for combo in _combos(ctx):
+                    y = 1 << (ctx.ncols - 1) | sum(ctx.class_masks[c] for c in (ctx.fixed, *combo))
+                    if mat_rank(MatGFp.from_bitrows([*rows, y], ctx.ncols)) == rank:
+                        spans.setdefault(combo, []).append(sol)
+            digest = {sol: canonical_cert(_from_rows([*ctx.rows, *sol], ctx.ncols)).digest for sols in spans.values() for sol in sols}
+            multiplicity = Counter(dg for sols in spans.values() for dg in {digest[sol] for sol in sols})
+            with monkeypatch.context() as m:
+                assembled = _spy(m, "_completions")
+                result = embedding_search(planes, block, res)
+            searched = {frozenset(sol) for call in assembled for sol in call[1]}
+            assert searched == set(digest) and len(searched) == 2
+            assert sorted(map(len, spans.values())) == [1] * 4
+            assert {frozenset(d.point_masks()[len(ctx.rows) :]) for d in result.designs} <= searched
+            assert {rec.class_indices[1:] for rec in result.records} == set(spans)
+            assert {dg: n for dg, _, n in result.iso_classes} == dict(multiplicity)
+            found |= searched
+        assert found == oracle
 
 
 def _reference_table(ctx):
