@@ -3,15 +3,17 @@
 A LinearCode stores a reduced-row-echelon basis.  Codeword enumeration over
 GF(2) follows the reflected-binary Gray sequence over the basis rows, so lists
 of codewords come out in a fixed order.  One numpy kernel walks that sequence
-in chunks of 2^13 words: the span of the low 13 basis rows, held as limb-major
-uint64 words, XORed with one offset per chunk, with weights from
-`bitwise_count`.  Weight distributions, words of one weight, minimum weights
-and the GF(2) enumeration all read its chunks.  For p > 2 a mixed-radix
-odometer plays the same role.  Every enumerator refuses, with CapExceeded,
-a code of more than DEFAULT_CAP = 2^28 codewords, read at call time;
-embedding.parallel_union_codewords walks only a subcode but compares the whole
-code's size with the same cap.  The one override is weight_distribution's
-`cap`, which backs `embedrank wdist --cap`.
+in chunks of 2^13 words: the span of the low 13 basis rows on the non-pivot
+coordinates, held as limb-major uint64 words, XORed per chunk with one step on
+the limbs that step meets, with weights from `bitwise_count` plus the
+message's popcount on the pivots.  Weight distributions, words of one weight,
+minimum weights and the GF(2) enumeration all read its chunks and encode the
+words they return from their messages, so lists keep the Gray walk's order.
+For p > 2 a mixed-radix odometer plays the same role.  Every enumerator
+refuses, with CapExceeded, a code of more than DEFAULT_CAP = 2^28 codewords,
+read at call time; embedding.parallel_union_codewords walks only a subcode but
+compares the whole code's size with the same cap.  The one override is
+weight_distribution's `cap`, which backs `embedrank wdist --cap`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,12 +39,13 @@ DEFAULT_CAP = 1 << 28
 
 
 # A chunk of the GF(2) kernel holds 2^_CHUNK_BITS words.  The per-chunk XOR
-# broadcasts one offset column over the buffer, and numpy runs it at 0.21-0.23
-# ns per uint64 limb-word once a limb row is at least its 8192-element ufunc
-# buffer wide, against 0.59-0.70 ns at 4096 (numpy 2.4 on a 2-core x86-64 VM).
-# Wider chunks keep bigger buffers resident: on a [336,24] code a 2^13 chunk
-# holds 6 limbs x 2^13 x 8 B = 384 KiB of words, where chunks of 2^16 words
-# raised peak memory by 7 MB.
+# broadcasts one step column over the limb rows it meets, and numpy runs it at
+# 0.21-0.23 ns per uint64 limb-word once a limb row is at least its
+# 8192-element ufunc buffer wide, against 0.59-0.70 ns at 4096 (numpy 2.4 on a
+# 2-core x86-64 VM).  Wider chunks keep bigger buffers resident: on the
+# [336,24] AG_3(4,4) residual code a 2^13 chunk holds its 312 non-pivot
+# coordinates in 5 limbs x 2^13 x 8 B = 320 KiB of words, where chunks of 2^16
+# words (with all 336 coordinates in 6 limbs) raised peak memory by 7 MB.
 _CHUNK_BITS = 13
 
 
@@ -114,7 +118,8 @@ def code_from_bitrows(rows, length: int) -> LinearCode:
 # of gray(i) are gray(l) with bit k - 1 flipped when h is odd, and the high
 # bits are gray(h).  So chunk h is the Gray-ordered span table of the low rows
 # XORed with one offset, and consecutive offsets differ by two basis rows: the
-# walk XORs that difference into one buffer in place.
+# walk XORs that difference, step j = row k + j XOR row k - 1 at the chunks h
+# whose lowest set bit is j, into one buffer in place.
 
 
 def _limbs(words, length: int) -> np.ndarray:
@@ -149,46 +154,115 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _walk(basis: list[int], length: int):
-    """Yield (words, weights) chunk by chunk over the Gray walk of the whole code.
+def _plan(basis: list[int], length: int):
+    """The walk's buffer layout for an RREF basis: (k, rows, steps, ranges).
 
-    `words` is a limb-major uint64 array with one column per codeword, in walk
-    order, and `weights` their Hamming weights.  Both buffers are overwritten
-    by the next chunk.
+    No row but its own meets a row's pivot, its lowest bit, so the pivots'
+    weight is the message's popcount and the buffer holds only the other
+    coordinates: step 0's support without step 1's, both, step 1's alone,
+    then the rest.  `rows` (the low k rows) and `steps` (step j: row k + j
+    XOR row k - 1) are limb-major columns on them; step j, at 2^-(j+1) of
+    the chunks, meets the limb rows ranges[j] = (lo, hi).
     """
-    rows = _limbs(basis, length)
+    pivots = [row & -row for row in basis]
+    pmask = sum(pivots)  # one bit per row exactly when the pivots are distinct
+    if pmask.bit_count() != len(basis) or any(row & pmask != piv for row, piv in zip(basis, pivots)):
+        raise WrongParameters("the walk needs a reduced row echelon basis")
     k = min(_CHUNK_BITS, len(basis))
-    words = _span_table(rows[:, :k])
-    steps = rows[:, k:] ^ rows[:, k - 1 : k]
+    steps = [row ^ basis[k - 1] for row in basis[k:]]
+    d0, d1 = [s & ~pmask for s in (steps + [0, 0])[:2]]
+    rest = ((1 << length) - 1) & ~(pmask | d0 | d1)
+    order = [c for mask in (d0 & ~d1, d0 & d1, d1 & ~d0, rest) for c in support_from_bitmask(mask)]
+    rows = [_gather(row, order, length) for row in basis[:k]]
+    steps = [_gather(step, order, length) for step in steps]
+    ranges = tuple(((s & -s).bit_length() - 1 >> 6, (s.bit_length() + 63) >> 6) if s else (0, 0) for s in steps)
+    return k, _limbs(rows, len(order)), _limbs(steps, len(order)), ranges
+
+
+def _gather(word: int, order: list[int], length: int) -> int:
+    """Bit i of the result is bit order[i] of `word`."""
+    if not order:
+        return 0
+    bits = format(word, f"0{length}b")[::-1]
+    return int("".join(itemgetter(*order)(bits))[::-1], 2)
+
+
+def _walk(basis: list[int], length: int):
+    """Yield (start, lift, weights) chunk by chunk over the Gray walk of an RREF basis.
+
+    Word i is the XOR of the basis rows at the set bits of its message
+    gray(i).  Chunk h holds words start = h << k onwards, and word start + l
+    weighs weights[l] + lift, lift = popcount(gray(h)); `weights` is
+    overwritten by the next chunk.  A step XORs and recounts only the limb
+    rows of the non-pivot buffer it meets (see `_plan`), and `weights` adds
+    the low pivots' popcount(gray(l)), bit k - 1 flipped on odd chunks.
+    """
+    k, rows, steps, ranges = _plan(basis, length)
     wdtype = np.uint16 if length < 1 << 16 else np.uint32
+    words = _span_table(rows)
     counts = np.empty(words.shape, dtype=np.uint8)
-    weights = np.empty(words.shape[1], dtype=wdtype)
+    np.bitwise_count(words, out=counts)
+    # popcount(gray(l)) by reflection; flipping bit k - 1 of gray(l) gives
+    # gray(2^k - 1 - l), so odd chunks add the row reversed
+    even = np.zeros(1 << k, dtype=wdtype)
+    for b in range(k):
+        half = 1 << b
+        np.add(even[half - 1 :: -1], 1, out=even[half : 2 * half])
+    message = (even, even[::-1].copy())
+    weights = np.empty(1 << k, dtype=wdtype)
     for h in range(1 << (len(basis) - k)):
         if h:
             j = (h & -h).bit_length() - 1
-            np.bitwise_xor(words, steps[:, j : j + 1], out=words)
-        np.bitwise_count(words, out=counts)
+            lo, hi = ranges[j]
+            np.bitwise_xor(words[lo:hi], steps[lo:hi, j : j + 1], out=words[lo:hi])
+            np.bitwise_count(words[lo:hi], out=counts[lo:hi])
         np.add.reduce(counts, axis=0, dtype=wdtype, out=weights)
-        yield words, weights
+        weights += message[h & 1]
+        yield h << k, (h ^ h >> 1).bit_count(), weights
+
+
+def _encoder(basis: list[int]):
+    """The word at walk index i: the XOR of the basis rows at the set bits of gray(i).
+
+    One lookup per byte of the message, in tables of the XORs of 8 rows.
+    """
+    tables = []
+    for b in range(0, len(basis), 8):
+        table = [0]
+        for row in basis[b : b + 8]:
+            table += [x ^ row for x in table]
+        tables.append(table)
+
+    def encode(i: int) -> int:
+        g = i ^ i >> 1
+        word = 0
+        for table in tables:
+            word ^= table[g & 255]
+            g >>= 8
+        return word
+
+    return encode
 
 
 def _histogram(basis: list[int], length: int) -> np.ndarray:
     hist = np.zeros(length + 1, dtype=np.int64)
-    for _, weights in _walk(basis, length):
-        hist += np.bincount(weights, minlength=length + 1)
+    for _, lift, weights in _walk(basis, length):
+        counts = np.bincount(weights)
+        hist[lift : lift + counts.size] += counts
     return hist
 
 
 def _weight_words(basis: list[int], length: int, w: int) -> list[int]:
     """The weight-w words of the code, in walk order.
 
-    Only the words of weight w become Python ints.
+    Only the words of weight w become Python ints, encoded from their walk
+    indices.
     """
+    encode = _encoder(basis)
     out: list[int] = []
-    for words, weights in _walk(basis, length):
-        hits = np.flatnonzero(weights == w)
-        if hits.size:
-            out += _words(words[:, hits])
+    for start, lift, weights in _walk(basis, length):
+        if w >= lift:
+            out += [encode(start + l) for l in np.flatnonzero(weights == w - lift).tolist()]
     return out
 
 
@@ -231,8 +305,9 @@ def iter_codewords(code: LinearCode):
     """
     _check_cap(code)
     if code.p == 2:
-        for words, _ in _walk(code.basis_bits, code.length):
-            yield from _words(words)
+        encode = _encoder(code.basis_bits)
+        for start, _, weights in _walk(code.basis_bits, code.length):
+            yield from map(encode, range(start, start + weights.size))
     else:
         yield from _odometer(code)
 

@@ -4,9 +4,12 @@ A 2-design is linearly embeddable over GF(p) with respect to a block when the
 p-rank of its incidence matrix exceeds the residual's p-rank by exactly one.
 This module bundles the rank test, the minimum-weight sufficient condition,
 two necessary conditions counting parallel-class-union codewords, a completion
-search that reconstructs every affine resolvable 2-(64,16,5) design containing
-a given residual structure, and the analogous symmetric completion that embeds
-an affine resolvable design into a symmetric one by adding one point class.
+search that reconstructs the affine resolvable 2-(64,16,5) designs containing
+a given residual structure whose 2-rank is the residual's plus one and that
+induce a given resolution on its substructure D'' (one search per
+Aut(D'')-orbit of the resolutions of D'' covers the rest), and the analogous
+symmetric completion that embeds an affine resolvable design into a
+symmetric one by adding one point class.
 The rank test works over any GF(p); the necessary conditions, the searches and
 the symmetric completion work over GF(2), for designs whose q is a power of 2.
 """
@@ -655,7 +658,13 @@ def embedding_search(
     resolution: Resolution | None = None,
     workers: int = 1,
 ) -> EmbeddingSearchResult:
-    """Reconstruct every affine resolvable design over a residual, with the parent's parameters.
+    """Reconstruct affine resolvable designs over a residual, with the parent's parameters.
+
+    The search finds the completions whose 2-rank is the residual's plus
+    one and that induce `resolution` on the substructure D''.  It is not
+    complete over the other resolutions of D'': at AG_2(3,4) block 0 the
+    default search returns 4 of the 8 distinct completions.  One search per
+    Aut(D'')-orbit of the resolutions of D'' covers the rest.
 
     The residual structure at good block `block_idx` gets one row per
     residual point, over one column per substructure block, per block

@@ -11,6 +11,7 @@ import pytest
 import embedrank.codes as codes_module
 from embedrank.codes import (
     DEFAULT_CAP,
+    LinearCode,
     bent_quadratic,
     code_from_cols,
     code_from_bitrows,
@@ -29,7 +30,7 @@ from embedrank.codes import (
     walsh_spectrum,
     weight_distribution,
 )
-from embedrank.designs import Resolution, residual, verify_tdesign
+from embedrank.designs import Resolution, good_block, residual, verify_tdesign
 from embedrank.embedding import embedding_search, parallel_union_codewords
 from embedrank.errors import (
     CapExceeded,
@@ -38,7 +39,9 @@ from embedrank.errors import (
     TooLarge,
     WrongParameters,
 )
-from embedrank.linalg import MatGFp, mat_rank
+from embedrank.expected import AG44_W128
+from embedrank.geometry import ag_design
+from embedrank.linalg import MatGFp, mat_rank, support_from_bitmask
 
 
 def _span_bits(rows):
@@ -307,6 +310,25 @@ def _random_code(rng, length, dim):
             return code
 
 
+def _check_against_gray_walk(code):
+    """The code's kernel outputs equal the reference walk's, order included.
+
+    Returns the reference words, their weight counts, the commonest weight
+    and a weight in 1..length with no word (if any).
+    """
+    ref = list(_gray_walk(code.basis_bits))
+    hist = Counter(w.bit_count() for w in ref)
+    assert weight_distribution(code).counts == dict(sorted(hist.items()))
+    assert list(iter_codewords(code)) == ref
+    common = max(hist, key=hist.get)
+    missing = [w for w in range(1, code.length + 1) if w not in hist][:1]
+    for w in [0, min(hist.keys() - {0}, default=1), common, code.length] + missing:
+        assert codewords_of_weight(code, w) == [x for x in ref if x.bit_count() == w]
+    if code.dim:
+        assert min_weight(code) == min(hist.keys() - {0})
+    return ref, hist, common, missing
+
+
 def test_span_kernel_matches_gray_walk(monkeypatch):
     # lengths around the 64-bit limb boundaries, dims around the chunk width k
     # (small widths and the shipped one); word i of the walk lies in chunk i >> k
@@ -317,20 +339,93 @@ def test_span_kernel_matches_gray_walk(monkeypatch):
         for dim in sorted({0, 1, k - 1, k, k + 1, k + 4}):
             if dim > length:
                 continue
-            code = _random_code(rng, length, dim)
-            ref = list(_gray_walk(code.basis_bits))
-            hist = Counter(w.bit_count() for w in ref)
-            assert weight_distribution(code).counts == dict(sorted(hist.items()))
-            assert list(iter_codewords(code)) == ref
-            common = max(hist, key=hist.get)
-            missing = [w for w in range(1, length + 1) if w not in hist][:1]
-            for w in [0, min(hist.keys() - {0}, default=1), common, length] + missing:
-                assert codewords_of_weight(code, w) == [x for x in ref if x.bit_count() == w]
+            ref, _, common, missing = _check_against_gray_walk(_random_code(rng, length, dim))
             split += len({i >> k for i, x in enumerate(ref) if x.bit_count() == common}) > 1
             absent += len(missing)
-            if dim:
-                assert min_weight(code) == min(hist.keys() - {0})
     assert split and absent
+
+
+def _systematic_code(rng, k, dim, free, zeros=0, tie=False):
+    """A code whose RREF basis is [I | A] with `free` columns of A, spread over zero columns.
+
+    With `tie`, step 0 of the walk (row k XOR row k - 1) lies wholly on the
+    pivots, and step 1 differs from row k - 1 on a few columns only, which
+    the buffer puts first.  Inserting `zeros` zero columns at random keeps
+    the basis in RREF, since the columns keep their order.
+    """
+    tail = [rng.getrandbits(free) for _ in range(dim)]
+    if tie and dim > k:
+        tail[k] = tail[k - 1]
+        if dim > k + 1:
+            tail[k + 1] = tail[k - 1] ^ rng.getrandbits(min(free, 5))
+    length = dim + free + zeros
+    coords = sorted(rng.sample(range(length), dim + free))
+    rows = [sum(1 << coords[c] for c in support_from_bitmask(1 << i | t << dim)) for i, t in enumerate(tail)]
+    code = code_from_bitrows(rows, length)
+    assert code.basis_bits == rows
+    return code
+
+
+def test_span_kernel_layouts_match_gray_walk(monkeypatch):
+    # the walk's buffer holds the non-pivot coordinates only: buffers that
+    # are empty, that hold zero coordinates or 63 to 65 coordinates, and
+    # steps that meet no buffer limb or one
+    rng = random.Random(109)
+    shapes = set()
+    for k in (1, 4, codes_module._CHUNK_BITS):
+        monkeypatch.setattr(codes_module, "_CHUNK_BITS", k)
+        cases = [(dim, 0, 0, False) for dim in (1, k, k + 3)]  # length == dim
+        cases += [(0, 0, 5, False), (0, 0, 65, False)]  # the zero code
+        cases += [(1, 64, 0, False), (2, 63, 0, False), (1, 65, 0, False), (k + 2, 64, 0, False)]
+        cases += [(k + 2, 65, 0, False), (k + 2, 128, 1, False), (k + 4, 40, 30, False)]
+        cases += [(k + 1, 30, 3, True), (k + 5, 70, 5, True), (k + 5, 0, 3, True)]
+        for dim, free, zeros, tie in cases:
+            code = _systematic_code(rng, k, dim, free, zeros, tie)
+            _check_against_gray_walk(code)
+            _, rows, _, ranges = codes_module._plan(code.basis_bits, code.length)
+            assert rows.shape == (max(1, -(-(code.length - dim) // 64)), min(k, dim))
+            for lo, hi in ranges:
+                shapes.add("empty" if lo == hi else "one limb" if hi - lo == 1 else "limbs")
+    assert shapes == {"empty", "one limb", "limbs"}
+
+
+def test_walk_refuses_a_basis_not_in_rref():
+    # the walk reads the pivot coordinates' weight off the message, which
+    # needs every row's lowest bit to be its own
+    for rows in ([0b11, 0b10], [0b01, 0b11], [0b0110, 0b1010], [0b1, 0]):
+        code = LinearCode(length=4, p=2, basis_bits=rows)
+        with pytest.raises(WrongParameters):
+            weight_distribution(code)
+        with pytest.raises(WrongParameters):
+            list(iter_codewords(code))
+
+
+def test_walk_recounts_only_the_limbs_a_step_meets(monkeypatch):
+    # AG_3(4,4)'s residual code at block 0: 2^11 chunks of 2^13 words.  The
+    # buffer holds its 312 non-pivot coordinates in 5 limbs, and the two
+    # commonest steps meet the first 2 and 3 (all 6 limbs of all 336
+    # coordinates at every step would be 12,282 rows)
+    ag44, _ = ag_design(4, 4, 3)
+    gb = good_block(ag44, 0)
+    code = code_from_bitrows(gb.substructure.point_masks(), gb.substructure.b)
+    assert (code.length, code.dim) == (336, 24)
+    _, rows, _, ranges = codes_module._plan(code.basis_bits, code.length)
+    assert rows.shape == (5, 13)
+    assert ranges == ((0, 2), (0, 3)) + ((0, 5),) * 9
+    # step j runs at the 2^(10 - j) chunks whose index has lowest set bit j
+    assert sum((hi - lo) << (10 - j) for j, (lo, hi) in enumerate(ranges)) == 6139
+    # the walk recounts what the plan says: all 5 rows once, then 6,139
+    counted = []
+    bitwise_count = np.bitwise_count
+
+    def spy(x, out=None):
+        if x.ndim == 2:
+            counted.append(x.shape[0])
+        return bitwise_count(x, out=out)
+
+    monkeypatch.setattr(np, "bitwise_count", spy)
+    assert weight_distribution(code)[128] == AG44_W128
+    assert sum(counted) == 5 + 6139
 
 
 def test_parallel_union_filter_matches_gray_walk(monkeypatch):

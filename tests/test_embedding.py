@@ -175,9 +175,9 @@ def test_parallel_union_walks_only_the_subcode(monkeypatch, ag34):
     walked = []
 
     def spy(basis, length):
-        for words, weights in walk(basis, length):
-            walked.append(words.shape[1])
-            yield words, weights
+        for start, lift, weights in walk(basis, length):
+            walked.append(weights.size)
+            yield start, lift, weights
 
     monkeypatch.setattr(codes_module, "_walk", spy)
     code = code_from_bitrows(ag34.point_masks(), ag34.b)
