@@ -6,14 +6,14 @@ of codewords come out in a fixed order.  One numpy kernel walks that sequence
 in chunks of 2^13 words: the span of the low 13 basis rows on the non-pivot
 coordinates, held as limb-major uint64 words, XORed per chunk with one step on
 the limbs that step meets, with weights from `bitwise_count` plus the
-message's popcount on the pivots.  Weight distributions, words of one weight,
-minimum weights and the GF(2) enumeration all read its chunks and encode the
-words they return from their messages, so lists keep the Gray walk's order.
-For p > 2 a mixed-radix odometer plays the same role.  Every enumerator
-refuses, with CapExceeded, a code of more than DEFAULT_CAP = 2^28 codewords,
-read at call time; embedding.parallel_union_codewords walks only a subcode but
-compares the whole code's size with the same cap.  The one override is
-weight_distribution's `cap`, which backs `embedrank wdist --cap`.
+message's popcount on the pivots.  Only weight_distribution and
+codewords_of_weight read its chunks, the latter encoding the words it returns
+from their walk indices; iter_codewords encodes every index in walk order
+without walking.  For p > 2 a mixed-radix odometer plays the same role.  Every
+enumerator refuses, with CapExceeded, a code of more than DEFAULT_CAP = 2^28
+codewords, read at call time; embedding.parallel_union_codewords walks only a
+subcode but compares the whole code's size with the same cap.  The one
+override is weight_distribution's `cap`, which backs `embedrank wdist --cap`.
 """
 
 from __future__ import annotations
@@ -164,10 +164,7 @@ def _plan(basis: list[int], length: int):
     XOR row k - 1) are limb-major columns on them; step j, at 2^-(j+1) of
     the chunks, meets the limb rows ranges[j] = (lo, hi).
     """
-    pivots = [row & -row for row in basis]
-    pmask = sum(pivots)  # one bit per row exactly when the pivots are distinct
-    if pmask.bit_count() != len(basis) or any(row & pmask != piv for row, piv in zip(basis, pivots)):
-        raise WrongParameters("the walk needs a reduced row echelon basis")
+    pmask = _pivot_mask(basis)
     k = min(_CHUNK_BITS, len(basis))
     steps = [row ^ basis[k - 1] for row in basis[k:]]
     d0, d1 = [s & ~pmask for s in (steps + [0, 0])[:2]]
@@ -177,6 +174,15 @@ def _plan(basis: list[int], length: int):
     steps = [_gather(step, order, length) for step in steps]
     ranges = tuple(((s & -s).bit_length() - 1 >> 6, (s.bit_length() + 63) >> 6) if s else (0, 0) for s in steps)
     return k, _limbs(rows, len(order)), _limbs(steps, len(order)), ranges
+
+
+def _pivot_mask(basis: list[int]) -> int:
+    """The OR of an RREF basis's pivots, its rows' lowest bits; WrongParameters for another basis."""
+    pivots = [row & -row for row in basis]
+    pmask = sum(pivots)  # one bit per row exactly when the pivots are distinct
+    if pmask.bit_count() != len(basis) or any(row & pmask != piv for row, piv in zip(basis, pivots)):
+        raise WrongParameters("the walk needs a reduced row echelon basis")
+    return pmask
 
 
 def _gather(word: int, order: list[int], length: int) -> int:
@@ -244,28 +250,6 @@ def _encoder(basis: list[int]):
     return encode
 
 
-def _histogram(basis: list[int], length: int) -> np.ndarray:
-    hist = np.zeros(length + 1, dtype=np.int64)
-    for _, lift, weights in _walk(basis, length):
-        counts = np.bincount(weights)
-        hist[lift : lift + counts.size] += counts
-    return hist
-
-
-def _weight_words(basis: list[int], length: int, w: int) -> list[int]:
-    """The weight-w words of the code, in walk order.
-
-    Only the words of weight w become Python ints, encoded from their walk
-    indices.
-    """
-    encode = _encoder(basis)
-    out: list[int] = []
-    for start, lift, weights in _walk(basis, length):
-        if w >= lift:
-            out += [encode(start + l) for l in np.flatnonzero(weights == w - lift).tolist()]
-    return out
-
-
 def _single_process(workers: int) -> None:
     """Every walk and search runs in the calling process: `workers` must be 1."""
     if workers != 1:
@@ -300,14 +284,14 @@ def _odometer(code: LinearCode):
 def iter_codewords(code: LinearCode):
     """Yield every codeword once, zero first, in the fixed enumeration order.
 
-    GF(2) words are ints (bit j = coordinate j); other fields yield numpy
-    vectors that must not be mutated by the consumer.
+    GF(2) words are ints (bit j = coordinate j), word i encoded from gray(i):
+    the walk's order, with no walk, from an RREF basis as the walk needs.
+    Other fields yield numpy vectors that must not be mutated by the consumer.
     """
     _check_cap(code)
     if code.p == 2:
-        encode = _encoder(code.basis_bits)
-        for start, _, weights in _walk(code.basis_bits, code.length):
-            yield from map(encode, range(start, start + weights.size))
+        _pivot_mask(code.basis_bits)
+        yield from map(_encoder(code.basis_bits), range(code.size))
     else:
         yield from _odometer(code)
 
@@ -340,7 +324,10 @@ def weight_distribution(code: LinearCode, cap: int | None = None, workers: int =
     _single_process(workers)
     _check_cap(code, cap)
     if code.p == 2:
-        hist = _histogram(code.basis_bits, code.length)
+        hist = np.zeros(code.length + 1, dtype=np.int64)
+        for _, lift, weights in _walk(code.basis_bits, code.length):
+            found = np.bincount(weights)
+            hist[lift : lift + found.size] += found
         counts = {w: int(c) for w, c in enumerate(hist) if c}
     else:
         counts = {}
@@ -358,7 +345,11 @@ def min_weight(code: LinearCode) -> int:
 
 
 def codewords_of_weight(code: LinearCode, w: int, workers: int = 1) -> list:
-    """All codewords of the given weight, in enumeration order."""
+    """All codewords of the given weight, in enumeration order.
+
+    w = 0 and w outside 1..length need no walk.  Over GF(2) only the
+    weight-w words become Python ints, encoded from their walk indices.
+    """
     _single_process(workers)
     _check_cap(code)
     if w == 0:
@@ -366,7 +357,13 @@ def codewords_of_weight(code: LinearCode, w: int, workers: int = 1) -> list:
     if not 0 < w <= code.length:
         return []
     if code.p == 2:
-        return _weight_words(code.basis_bits, code.length, w)
+        encode = _encoder(code.basis_bits)
+        return [
+            encode(start + l)
+            for start, lift, weights in _walk(code.basis_bits, code.length)
+            if w >= lift
+            for l in np.flatnonzero(weights == w - lift).tolist()
+        ]
     return [vec.copy() for vec in _odometer(code) if int(np.count_nonzero(vec)) == w]
 
 

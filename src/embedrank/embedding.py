@@ -31,7 +31,6 @@ from .codes import (
     _limbs,
     _single_process,
     _span_table,
-    _weight_words,
     _words,
     code_from_bitrows,
     code_from_cols,
@@ -124,14 +123,13 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     These codewords are the subcode C ∩ V, V the span of the class
     indicators.  A union of classes lies in C exactly when the residues of
     its classes against the RREF basis XOR to 0, so `_kernel` gives a basis
-    of C ∩ V, re-RREFed into the subcode's canonical basis, and only that
-    subcode is walked:
-    2^dim(C ∩ V) words, never more than the 2^dim(C) of the whole code.  The
-    whole code's size is still compared with codes.DEFAULT_CAP, so
-    CapExceeded is raised for the same codes as by a walk of the whole code.
-    Returns the words as bitmasks, in the order the walk of the subcode
-    lists them; w = 0 (the zero word) and w outside 1..length (no word) are
-    answered without a walk.
+    of C ∩ V, re-RREFed into the subcode's canonical basis, and
+    codewords_of_weight walks only that subcode: 2^dim(C ∩ V) words, never
+    more than the 2^dim(C) of the whole code.  The whole code's size is
+    still compared with codes.DEFAULT_CAP, so CapExceeded is raised for the
+    same codes as by a walk of the whole code.  Returns the words as
+    bitmasks, in the subcode's walk order; w = 0 and w outside 1..length
+    need no walk.
     """
     if code.p != 2:
         raise WrongParameters("parallel-union codewords are implemented over GF(2)")
@@ -139,13 +137,8 @@ def parallel_union_codewords(code: LinearCode, resolution: Resolution, w: int):
     m = sum(map(len, resolution.classes))
     if m != code.length:
         raise WrongParameters(f"the resolution partitions {m} coordinates, not the code's {code.length}")
-    if w == 0:
-        return [0]
-    if not 0 < w <= code.length:
-        return []
     unions = _kernel([(code._residue(m), m) for m in resolution.masks()], code.length)
-    sub = code_from_bitrows(unions, code.length)
-    return _weight_words(sub.basis_bits, sub.length, w)
+    return codewords_of_weight(code_from_bitrows(unions, code.length), w)
 
 
 class NecessaryCondition(NamedTuple):

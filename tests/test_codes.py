@@ -345,6 +345,21 @@ def test_span_kernel_matches_gray_walk(monkeypatch):
     assert split and absent
 
 
+def test_iter_codewords_is_the_walk_order_without_a_walk(monkeypatch):
+    # word i is encoded from gray(i) directly, at dims around the encoder's
+    # 8-row tables and the chunk width, and lengths around the 64-bit limbs
+    def no_walk(*args):
+        raise AssertionError("iter_codewords walked")
+
+    monkeypatch.setattr(codes_module, "_walk", no_walk)
+    rng = random.Random(110)
+    k = codes_module._CHUNK_BITS
+    for length, dim in product((1, 63, 64, 65, 129, 336), (0, 1, 8, 9, k - 1, k, k + 1)):
+        if dim <= length:
+            code = _random_code(rng, length, dim)
+            assert list(iter_codewords(code)) == list(_gray_walk(code.basis_bits))
+
+
 def _systematic_code(rng, k, dim, free, zeros=0, tie=False):
     """A code whose RREF basis is [I | A] with `free` columns of A, spread over zero columns.
 

@@ -32,6 +32,7 @@ from embedrank.designs import (
     good_block,
     make_resolution,
     residual,
+    resolutions,
     verify_tdesign,
 )
 from embedrank.embedding import (
@@ -72,7 +73,14 @@ from embedrank.errors import (
     NotGoodBlock,
     WrongParameters,
 )
-from embedrank.expected import E1_DIGEST, E2_DIGEST, PU_WEIGHT32_BY_ORBIT, THM5_REQUIRED_43
+from embedrank.expected import (
+    DPP_RESOLUTION_COUNT,
+    DPP_RESOLUTION_ORBITS,
+    E1_DIGEST,
+    E2_DIGEST,
+    PU_WEIGHT32_BY_ORBIT,
+    THM5_REQUIRED_43,
+)
 from embedrank.geometry import ag_design, pg_design
 from embedrank.iso import are_isomorphic, automorphism_group, canonical_cert, orbits, resolution_orbits
 from embedrank.linalg import MatGFp, mat_rank, mat_rref
@@ -718,7 +726,8 @@ def _digest_multiset(result):
     return Counter(digest for record in result.records for digest in record.cert_digests)
 
 
-@pytest.mark.parametrize(
+# One block of each good-block orbit of ag, e1 and e2, and the classes its search finds.
+_AT_EACH_GOOD_BLOCK_ORBIT = pytest.mark.parametrize(
     "name, block, classes",
     [
         ("ag34", 0, {"ag": 4, "e1": 12}),
@@ -728,6 +737,9 @@ def _digest_multiset(result):
     ],
     ids=["ag34-0", "e1-20", "e1-83", "e2-0"],
 )
+
+
+@_AT_EACH_GOOD_BLOCK_ORBIT
 def test_search_at_each_good_block_orbit(request, ag34, monkeypatch, name, block, classes):
     """One block of each good-block orbit of ag, e1 and e2: its classes, 4 labelings, and two relabelings' digests.
 
@@ -750,6 +762,41 @@ def test_search_at_each_good_block_orbit(request, ag34, monkeypatch, name, block
         moved, order = relabel_with_order(design, random.Random(seed))
         assert _digest_multiset(embedding_search(moved, order.index(block))) == _digest_multiset(result)
         assert len(labeled) == 4
+
+
+@_AT_EACH_GOOD_BLOCK_ORBIT
+def test_thm5_passes_exactly_on_the_resolution_orbits_that_complete(request, ag34, name, block, classes):
+    """Theorem 5's count and the search agree on every Aut(D'')-orbit of the resolutions of D''.
+
+    D'' has DPP_RESOLUTION_COUNT resolutions in orbits of lengths
+    DPP_RESOLUTION_ORBITS.  One search per orbit finds viable candidates
+    exactly when the orbit's weight-32 class unions reach THM5_REQUIRED_43:
+    on the orbit of length 2 only, where it finds the block's two classes.
+    """
+    design = request.getfixturevalue(name)
+    if (name, block) == ("ag34", 0):
+        sub, group, res_list = map(request.getfixturevalue, ("dpp", "dpp_group", "dpp_resolutions"))
+    else:
+        sub = good_block(design, block).substructure
+        group, res_list = automorphism_group(sub), resolutions(sub)
+    assert len(res_list) == DPP_RESOLUTION_COUNT
+    orbs = resolution_orbits(group, res_list)
+    assert tuple(sorted(map(len, orbs))) == DPP_RESOLUTION_ORBITS
+    code = code_from_bitrows(sub.point_masks(), sub.b)
+    digests = {canonical_cert(ag34).digest: "ag", E1_DIGEST: "e1", E2_DIGEST: "e2"}
+    completing = []
+    for orb in orbs:
+        rep = res_list[orb[0]]
+        unions = len(parallel_union_codewords(code, rep, 32))
+        assert unions == PU_WEIGHT32_BY_ORBIT[len(orb)]
+        result = embedding_search(design, block, rep)
+        assert (unions >= THM5_REQUIRED_43) == (result.viable_codes > 0)
+        if result.viable_codes:
+            completing.append(len(orb))
+            assert {digests[digest]: n for digest, _, n in result.iso_classes} == classes
+        else:
+            assert result.designs == () and result.iso_classes == ()
+    assert completing == [2]
 
 
 @pytest.mark.parametrize("name, block", [("ag34", 0), ("e1", 83)], ids=["ag34-0", "e1-83"])
